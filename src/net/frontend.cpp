@@ -345,8 +345,10 @@ void Frontend::enqueue_tcp(Connection& conn,
 
 bool Frontend::flush_tcp(Connection& conn) {
   while (conn.out_offset < conn.out.size()) {
-    const ssize_t n = ::write(conn.fd, conn.out.data() + conn.out_offset,
-                              conn.out.size() - conn.out_offset);
+    // MSG_NOSIGNAL: a peer that reset the stream must surface as EPIPE,
+    // not as a process-killing SIGPIPE.
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_offset,
+                             conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!conn.want_write) {

@@ -172,6 +172,14 @@ TcpSession::~TcpSession() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+void TcpSession::reset() {
+  if (fd_ < 0) return;
+  const linger hard_close{.l_onoff = 1, .l_linger = 0};
+  ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard_close, sizeof hard_close);
+  ::close(fd_);
+  fd_ = -1;
+}
+
 bool TcpSession::send(const dns::Message& message) {
   const std::vector<std::uint8_t> framed = frame(message.to_wire());
   return send_raw(framed);

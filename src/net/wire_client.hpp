@@ -77,6 +77,10 @@ class TcpSession {
 
   bool closed_by_peer() const noexcept { return closed_; }
 
+  /// Aborts the connection: SO_LINGER {1, 0} then close, so the peer sees
+  /// an RST instead of a FIN (hostile-client tests).
+  void reset();
+
  private:
   bool fill(std::size_t need, int timeout_ms);
 

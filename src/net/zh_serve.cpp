@@ -63,6 +63,9 @@ std::optional<zh::simnet::IpAddress> parse_ipv4(const char* text) {
 
 int main(int argc, char** argv) {
   using namespace zh;
+  // Backstop for any write to a reset peer the frontend does not already
+  // guard with MSG_NOSIGNAL: a client must never be able to kill the server.
+  std::signal(SIGPIPE, SIG_IGN);
 
   simnet::IpAddress endpoint = simnet::IpAddress::v4(1, 1, 1, 1);
   for (int i = 1; i < argc; ++i) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "scanner/async_engine.hpp"
 #include "simnet/exchange.hpp"
 
 namespace zh::scanner {
@@ -106,67 +105,6 @@ void DomainCampaign::run_shard(std::size_t shard, std::size_t shards,
                     queue_after.dropped - queue_before.dropped,
                     trace::stage_delta(internet_.network().tracer().stages(),
                                        stages_before));
-  }
-  stats_.neg_synth_hits +=
-      metrics.value("resolver.neg_synth_hit") - synth_before;
-  stats_.failure_cache_hits +=
-      metrics.value("resolver.failure_cache_hit") - failure_before;
-}
-
-void DomainCampaign::run_shard_async(std::size_t shard, std::size_t shards,
-                                     std::size_t limit, std::size_t stride,
-                                     std::size_t max_inflight) {
-  warm_tld_caches();
-  trace::Metrics& metrics = internet_.network().tracer().metrics();
-  const std::uint64_t synth_before = metrics.value("resolver.neg_synth_hit");
-  const std::uint64_t failure_before =
-      metrics.value("resolver.failure_cache_hit");
-  const std::size_t count = std::min(limit, spec_.domain_count());
-  std::vector<std::size_t> indexes;
-  for (std::size_t position = shard;; position += shards) {
-    const std::size_t index = position * stride;
-    if (index >= count || index / stride != position) break;  // overflow
-    indexes.push_back(index);
-  }
-
-  AsyncOptions options;
-  options.max_inflight = max_inflight;
-  options.retry = retry_;
-  AsyncEngine<DomainScanFlow> engine(internet_.network(), source_, options);
-  struct FinishedScan {
-    DomainScanResult result;
-    TaskTotals totals;
-  };
-  std::vector<FinishedScan> finished(indexes.size());
-  engine.run(
-      indexes.size(),
-      [&](std::size_t position) {
-        const workload::DomainProfile profile =
-            spec_.domain(indexes[position]);
-        AsyncItem<DomainScanFlow> item;
-        item.index = indexes[position];
-        item.flow_key =
-            simtime::fnv1a(profile.apex.canonical().to_string());
-        item.destination = scan_resolver_;
-        item.flow = DomainScanFlow(
-            profile.apex, [this] { return async_probe_token_++; });
-        return item;
-      },
-      [&](std::size_t position, DomainScanFlow& flow,
-          const TaskTotals& totals) {
-        finished[position] = FinishedScan{flow.take_result(), totals};
-      });
-  async_queries_ += engine.queries_issued();
-
-  // Fold in position order — the blocking loop's order — so stats_ and
-  // records_ accumulate through the identical operation sequence.
-  for (std::size_t position = 0; position < indexes.size(); ++position) {
-    FinishedScan& scan = finished[position];
-    scan.result.elapsed = scan.totals.elapsed;
-    scan.result.timeouts = static_cast<unsigned>(scan.totals.timeouts);
-    accumulate_scan(indexes[position], scan.result,
-                    scan.totals.queue_wait_ns, scan.totals.queue_drops,
-                    scan.totals.stages);
   }
   stats_.neg_synth_hits +=
       metrics.value("resolver.neg_synth_hit") - synth_before;

@@ -74,7 +74,7 @@ struct DomainCampaignStats {
 
   /// RFC 8198 / RFC 9520 activity of the scan resolver during this shard
   /// (per-shard metric deltas, so sums over shards equal the serial run —
-  /// jobs/procs/engine-invariant). Zero unless the scan resolver's profile
+  /// jobs/procs-invariant). Zero unless the scan resolver's profile
   /// enables the respective cache.
   std::uint64_t neg_synth_hits = 0;
   std::uint64_t failure_cache_hits = 0;
@@ -112,17 +112,6 @@ class DomainCampaign {
                  std::size_t limit = static_cast<std::size_t>(-1),
                  std::size_t stride = 1);
 
-  /// run_shard over the async engine (scanner/async_engine.hpp): the same
-  /// visit set driven as up to `max_inflight` concurrent per-query state
-  /// machines on this thread. Stats, records and query counts are
-  /// byte-identical to run_shard's — per-item observations are flow-keyed
-  /// and time-local, and the aggregation folds finished scans in position
-  /// order, exactly like the blocking loop.
-  void run_shard_async(std::size_t shard, std::size_t shards,
-                       std::size_t limit = static_cast<std::size_t>(-1),
-                       std::size_t stride = 1,
-                       std::size_t max_inflight = 1024);
-
   const DomainCampaignStats& stats() const noexcept { return stats_; }
   const std::vector<CompactDomainRecord>& records() const noexcept {
     return records_;
@@ -131,12 +120,11 @@ class DomainCampaign {
   const CompactDomainRecord* record_for(std::size_t index) const;
 
   std::uint64_t queries_issued() const noexcept {
-    return scanner_.queries_issued() + async_queries_;
+    return scanner_.queries_issued();
   }
 
  private:
-  /// Folds one finished scan into stats_/records_ — the shared aggregation
-  /// tail of run_shard (blocking) and run_shard_async. The deltas are the
+  /// Folds one finished scan into stats_/records_. The deltas are the
   /// item's own queue-counter and tracer-stage movements.
   void accumulate_scan(std::size_t index, const DomainScanResult& result,
                        std::uint64_t queue_wait_ns,
@@ -156,8 +144,6 @@ class DomainCampaign {
   simnet::IpAddress source_;
   simtime::RetryPolicy retry_;
   DomainScanner scanner_;
-  std::uint64_t async_queries_ = 0;      // run_shard_async's wire attempts
-  std::uint64_t async_probe_token_ = 0;  // run_shard_async's token counter
   DomainCampaignStats stats_;
   std::vector<CompactDomainRecord> records_;
   std::map<std::uint32_t, std::size_t> by_index_;

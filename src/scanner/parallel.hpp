@@ -76,23 +76,9 @@ ShardWorldFactory default_world_factory(
     resolver::ResolverProfile scan_profile =
         resolver::ResolverProfile::cloudflare());
 
-/// Which scan engine drives each worker's shard.
-enum class Engine {
-  /// One resolution at a time per worker (the historical engine).
-  kBlocking,
-  /// Per-query state machines over a timer wheel, up to max_inflight
-  /// resolutions per worker (scanner/async_engine.hpp). Campaign outputs
-  /// are byte-identical to the blocking engine's for the same sharding.
-  kAsync,
-};
-
 struct ParallelOptions {
   /// Worker count K. 0 means default_jobs().
   unsigned jobs = 1;
-  /// Scan engine per worker (campaign outputs are engine-invariant).
-  Engine engine = Engine::kBlocking;
-  /// Concurrent resolutions per worker when engine == kAsync.
-  std::size_t max_inflight = 1024;
   /// Process-level sub-sharding (scanner/process.hpp): this run covers
   /// only the campaign positions j ≡ shard_index (mod shard_count) of the
   /// serial visit order. Worker thread t then covers the global residue

@@ -66,8 +66,8 @@ void DomainScanFlow::feed(const FlowOutcome& outcome) {
       //    or a wildcard expansion — both carry NSEC3 records when the zone
       //    has them. Fixed-width token: NSEC3 hashing cost depends on the
       //    name's length, so a padded counter keeps per-scan service time
-      //    independent of how many scans ran before (a worker-count and
-      //    engine invariance requirement).
+      //    independent of how many scans ran before (a worker-count
+      //    invariance requirement).
       char token[24];
       std::snprintf(token, sizeof token, "zz-scan-%08llu",
                     static_cast<unsigned long long>(token_source_()));

@@ -1,25 +1,17 @@
-// Resumable measurement flows: the §4.1 domain-scan and §4.2 resolver-probe
+// Measurement flows: the §4.1 domain-scan and §4.2 resolver-probe
 // pipelines as explicit state machines over *logical queries*.
 //
-// Both engines drive the same flow objects:
-//   * the blocking engine (DomainScanner::scan, ResolverProber::probe) runs
-//     pending() → execute → feed() in a tight loop, exactly reproducing the
-//     pre-refactor call sequence byte for byte;
-//   * the async engine (scanner/async_engine.hpp) parks a flow whenever its
-//     logical query waits on the network and resumes it from a timer-wheel
-//     expiry, which is how one worker thread keeps thousands of scans in
-//     flight.
-// Because classification logic exists once — here — the two engines cannot
-// drift apart; the equivalence suite (tests/test_async_engine.cpp) then
-// pins the remaining engine-side arithmetic (retry accounting, latency
-// deltas) to byte-identical campaign statistics.
+// DomainScanner::scan and ResolverProber::probe drive these flows with
+// pending() → execute_logical_query() → feed() in a tight loop. The
+// classification logic lives here; the drivers own only the wire counters
+// and the timeline.
 //
 // A *logical query* is one question with the full client policy applied:
 // up to RetryPolicy::attempts wire transmissions with exponential timeouts,
 // UDP→TCP fallback on truncation, and the transient-SERVFAIL re-ask loop
 // (RFC 8914 EDE 22/23 marks transport fates, not domain properties). The
-// flow only sees the settled outcome; how the attempts were scheduled —
-// blocking waits or timer-wheel wake-ups — is the engine's business.
+// flow only sees the settled outcome; how the attempts were scheduled is
+// the driver's business.
 #pragma once
 
 #include <algorithm>
@@ -59,7 +51,8 @@ struct FlowOutcome {
   simtime::Duration latency;
 };
 
-/// Executes one logical query synchronously: the blocking engines' driver.
+/// Executes one logical query synchronously: the scanner's and prober's
+/// driver.
 /// Replicates the exchange + transient-SERVFAIL re-ask loop the scanner
 /// and prober always used; `next_id` and `queries` are the caller's wire
 /// counters (queries advances by every attempt, exactly as before).
@@ -90,9 +83,8 @@ inline FlowOutcome execute_logical_query(simnet::Network& network,
 }
 
 /// Supplies negative-probe tokens on demand. Passed as a callback so the
-/// token counter advances only when a scan actually reaches the probe step
-/// — preserving the blocking engine's historical consumption order, while
-/// the async engine hands out tokens in (deterministic) completion order.
+/// token counter advances only when a scan actually reaches the probe step,
+/// which preserves the scanner's historical consumption order.
 /// Token *values* influence no campaign statistic: the probe label is
 /// fixed-width, so hashing cost is value-independent, and every NSEC3
 /// record of a synthetic zone carries the same parameters.
@@ -156,7 +148,7 @@ class ProbeFlow {
 
   /// The probe result. The caller owns the timeline and the queue-counter
   /// bookkeeping: elapsed / queue_wait / queue_drops / timeouts stay zero
-  /// here (ResolverProber::probe and the async engine fill them).
+  /// here (ResolverProber::probe fills them).
   ResolverProbeResult take_result() { return std::move(result_); }
 
  private:

@@ -3,7 +3,8 @@
 # docs job):
 #   1. every intra-repo markdown link resolves to an existing file;
 #   2. every bench_* target registered in bench/CMakeLists.txt has a row
-#      in docs/BENCHMARKS.md;
+#      in docs/BENCHMARKS.md, and every bench_* row there names a
+#      registered target;
 #   3. every page under docs/ is reachable: linked from at least one
 #      other markdown file (no orphan documentation);
 #   4. docs/PERFORMANCE.md exists and covers the crypto fast-path
@@ -55,6 +56,15 @@ fi
 for bench in $benches; do
   if ! grep -q "\`$bench\`" docs/BENCHMARKS.md; then
     echo "UNDOCUMENTED BENCH: $bench missing from docs/BENCHMARKS.md"
+    status=1
+  fi
+done
+rows=$(grep -o '^| `bench_[a-z0-9_]*`' docs/BENCHMARKS.md |
+  sed 's/^| `//; s/`$//')
+for row in $rows; do
+  if ! echo "$benches" | grep -qx "$row"; then
+    echo "STALE BENCH ROW: $row in docs/BENCHMARKS.md is not a target" \
+         "in bench/CMakeLists.txt"
     status=1
   fi
 done

@@ -1,14 +1,23 @@
 // Tests for the sharded parallel campaign engine (scanner/parallel.hpp):
 // the engine's central promise is that §5.1/§5.2 aggregates are
 // bit-identical for every --jobs value, and that per-shard statistics
-// merged in any order reproduce the unsharded campaign.
+// merged in any order reproduce the unsharded campaign. The strongest
+// oracle is the canonical shard codec (scanner/serialize.hpp): two runs
+// agree iff their encoded artefacts are the same bytes, which covers
+// stats, ECDF histograms, per-domain records and query counts at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "analysis/serialize.hpp"
 #include "scanner/parallel.hpp"
+#include "scanner/process.hpp"
+#include "scanner/serialize.hpp"
 #include "workload/install.hpp"
 #include "workload/resolver_population.hpp"
 
@@ -79,6 +88,41 @@ void expect_same_sweep(const ResolverSweepStats& a,
   EXPECT_EQ(a.stop_answering, b.stop_answering);
   EXPECT_EQ(a.queue_delay_us.histogram(), b.queue_delay_us.histogram());
   EXPECT_EQ(a.queue_drops, b.queue_drops);
+}
+
+/// Canonical bytes of a campaign result under a fixed envelope, so results
+/// from any sharding compare payload-for-payload. The hash-work tally is
+/// included only on request: every worker signs its own world, so cost
+/// scales with the worker count by design.
+DomainShardArtefact canonical_artefact(const ParallelCampaignResult& result,
+                                       bool with_cost = false) {
+  DomainShardArtefact artefact;
+  artefact.tag = "canon";
+  artefact.shard = 0;
+  artefact.of = 1;
+  artefact.jobs = 1;  // deliberately NOT result.jobs: jobs must not matter
+  artefact.stats = result.stats;
+  artefact.records = result.records;
+  artefact.queries_issued = result.queries_issued;
+  if (with_cost) artefact.cost = result.cost;
+  return artefact;
+}
+
+std::vector<std::uint8_t> campaign_bytes(const ParallelCampaignResult& result,
+                                         bool with_cost = false) {
+  return encode_artefact(canonical_artefact(result, with_cost));
+}
+
+std::vector<std::uint8_t> sweep_bytes(const ParallelSweepResult& result) {
+  SweepShardArtefact artefact;
+  artefact.tag = "canon";
+  artefact.shard = 0;
+  artefact.of = 1;
+  artefact.jobs = 1;
+  artefact.stats = result.stats;
+  artefact.queries_issued = result.queries_issued;
+  artefact.population = result.population;
+  return encode_artefact(artefact);
 }
 
 // ISSUE acceptance: --jobs 1 and --jobs 8 produce identical
@@ -251,15 +295,25 @@ TEST(ParallelCampaign, TimeShapedCampaignIsJobsInvariant) {
       run_domain_campaign_parallel(spec, factory, serial);
   EXPECT_GT(baseline.stats.scan_latency_us.total(), 0u);
   EXPECT_GT(baseline.stats.scan_latency_us.max(), 0);
+  EXPECT_GT(baseline.stats.stage_resolve_us.total(), 0u);
 
-  for (const unsigned jobs : {4u, 16u}) {
-    ParallelOptions sharded = time_shaped_options(jobs);
-    sharded.limit = 400;
-    const ParallelCampaignResult run =
-        run_domain_campaign_parallel(spec, factory, sharded);
-    SCOPED_TRACE(jobs);
-    expect_same_stats(baseline.stats, run.stats);
-    EXPECT_EQ(baseline.queries_issued, run.queries_issued);
+  // Traced runs too: enabling the tracer must not move a single byte of the
+  // artefact, whatever the sharding. Only the raw event streams, which are
+  // per-shard, may differ.
+  for (const bool traced : {false, true}) {
+    for (const unsigned jobs : {4u, 16u}) {
+      ParallelOptions sharded = time_shaped_options(jobs);
+      sharded.limit = 400;
+      sharded.trace.enabled = traced;
+      const ParallelCampaignResult run =
+          run_domain_campaign_parallel(spec, factory, sharded);
+      SCOPED_TRACE(::testing::Message() << "jobs " << jobs << " traced "
+                                        << traced);
+      EXPECT_EQ(run.trace.events_emitted() > 0, traced);
+      expect_same_stats(baseline.stats, run.stats);
+      EXPECT_EQ(baseline.queries_issued, run.queries_issued);
+      EXPECT_EQ(campaign_bytes(baseline), campaign_bytes(run));
+    }
   }
 }
 
@@ -290,7 +344,57 @@ TEST(ParallelCampaign, QueueEnabledCampaignIsJobsInvariant) {
     SCOPED_TRACE(jobs);
     expect_same_stats(baseline.stats, run.stats);
     EXPECT_EQ(baseline.queries_issued, run.queries_issued);
+    EXPECT_EQ(campaign_bytes(baseline), campaign_bytes(run));
   }
+}
+
+// Process-level sub-sharding composed with a time-shaped transport: two
+// sub-shard runs (--procs 2, one thread each), serialised through real
+// artefact files and merged by merge_domain_shards, reproduce the
+// in-process --jobs 2 campaign byte-for-byte. Both sides build two worlds,
+// so the hash-work tally must match too: a FULL artefact byte-compare.
+TEST(ParallelCampaign, TimeShapedSubShardArtefactsMergeToInProcessBytes) {
+  const workload::EcosystemSpec spec({.scale = 0.00002, .seed = 42});
+  const auto factory = default_world_factory(spec);
+
+  ParallelOptions baseline_options = time_shaped_options(2);
+  baseline_options.limit = 300;
+  const ParallelCampaignResult baseline =
+      run_domain_campaign_parallel(spec, factory, baseline_options);
+  EXPECT_GT(baseline.stats.scanned, 0u);
+
+  std::string error;
+  const std::string dir = make_shard_dir(error);
+  ASSERT_FALSE(dir.empty()) << error;
+
+  std::vector<std::string> paths;
+  for (unsigned shard = 0; shard < 2; ++shard) {
+    ParallelOptions options = time_shaped_options(1);
+    options.limit = 300;
+    options.shard_index = shard;
+    options.shard_count = 2;
+    const ParallelCampaignResult piece =
+        run_domain_campaign_parallel(spec, factory, options);
+
+    DomainShardArtefact artefact =
+        canonical_artefact(piece, /*with_cost=*/true);
+    artefact.shard = shard;
+    artefact.of = 2;
+    const std::string path = dir + "/shard-" + std::to_string(shard) + ".zhsa";
+    ASSERT_TRUE(analysis::write_bytes_file(path, encode_artefact(artefact)))
+        << path;
+    paths.push_back(path);
+  }
+
+  ParallelCampaignResult merged;
+  ASSERT_TRUE(merge_domain_shards(paths, "canon", merged, error)) << error;
+  for (const auto& path : paths) std::remove(path.c_str());
+  std::remove(dir.c_str());
+  EXPECT_EQ(merged.jobs, 2u);
+  expect_same_stats(baseline.stats, merged.stats);
+  EXPECT_EQ(baseline.queries_issued, merged.queries_issued);
+  EXPECT_EQ(campaign_bytes(baseline, /*with_cost=*/true),
+            campaign_bytes(merged, /*with_cost=*/true));
 }
 
 // The resolver sweep's latency/timeout aggregates are jobs-invariant too —
@@ -324,6 +428,7 @@ TEST(ParallelSweep, TimeShapedSweepIsJobsInvariant) {
     SCOPED_TRACE(jobs);
     expect_same_sweep(baseline.stats, run.stats);
     EXPECT_EQ(baseline.queries_issued, run.queries_issued);
+    EXPECT_EQ(sweep_bytes(baseline), sweep_bytes(run));
   }
 }
 

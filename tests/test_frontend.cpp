@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -279,6 +281,55 @@ TEST(Frontend, IdleConnectionsAreReaped) {
   EXPECT_TRUE(session.closed_by_peer());
   const FrontendCounters& counters = server.stop();
   EXPECT_GE(counters.tcp_reaped, 1u);
+}
+
+// A client that resets its stream while responses are being written must
+// not kill the server. The dispatch holds the first pipelined query until
+// the client's RST has landed, so every response write hits a reset
+// socket: the first send reports ECONNRESET and the next EPIPE, which
+// raises SIGPIPE unless the frontend sends with MSG_NOSIGNAL.
+TEST(Frontend, ResetWhileRespondingNeverKillsTheServer) {
+  std::promise<void> entered_promise, released_promise;
+  std::future<void> entered = entered_promise.get_future();
+  std::shared_future<void> released = released_promise.get_future().share();
+  std::atomic<bool> first{true};
+  const Dispatch answer = txt_dispatch(64);
+  ServerHarness server;
+  ASSERT_TRUE(server.start([&](const Message& query) {
+    if (first.exchange(false)) {
+      entered_promise.set_value();
+      released.wait_for(std::chrono::seconds(5));
+    }
+    return answer(query);
+  }));
+
+  TcpSession session("127.0.0.1", server.port());
+  ASSERT_TRUE(session.connected());
+  // The whole pipeline goes out as one write, so the server has read every
+  // frame before it dispatches (and writes) the first answer.
+  constexpr int kQueries = 8;
+  std::vector<std::uint8_t> pipeline;
+  for (int i = 0; i < kQueries; ++i) {
+    const std::vector<std::uint8_t> wire =
+        echo_query(static_cast<std::uint16_t>(i), "reset.example").to_wire();
+    pipeline.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
+    pipeline.push_back(static_cast<std::uint8_t>(wire.size()));
+    pipeline.insert(pipeline.end(), wire.begin(), wire.end());
+  }
+  ASSERT_TRUE(session.send_raw({pipeline.data(), pipeline.size()}));
+  ASSERT_EQ(entered.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  session.reset();
+  released_promise.set_value();
+
+  // The server is still alive and answers byte-identically.
+  const Message fresh = echo_query(99, "alive.example");
+  WireClient client("127.0.0.1", server.port());
+  const ClientResult result = client.query_udp(fresh);
+  ASSERT_TRUE(result.message) << result.error;
+  EXPECT_EQ(result.wire, answer(fresh)->to_wire());
+  const FrontendCounters& counters = server.stop();
+  EXPECT_EQ(counters.tcp_queries, static_cast<std::uint64_t>(kQueries));
 }
 
 // ------------------------------------------------------- malformed corpus

@@ -369,13 +369,14 @@ TEST(NetworkTransport, TruncationBoundaryAndWireBytesUnchanged) {
   }
 }
 
-// Stress/property test at the async engine's scale target: 8k staggered
-// in-flight queries multiplexed over one network with loss, jitter and
+// Stress/property test for concurrent_exchange: 8k staggered logical
+// clients multiplexed over one network with loss, jitter and
 // retransmission must never reorder each other's flow-keyed RNG draws.
 // Every client's transport fate — which attempts are lost, the sampled
 // RTTs, whether it times out — must equal a run of that client ALONE, and
-// the whole batch must replay bit-identically. This is the transport
-// property the async scan engine's byte-equivalence rests on.
+// the whole batch must replay bit-identically. Rewinding the clock per
+// client and joining one queue epoch must therefore leave each flow's
+// draw sequence untouched.
 TEST(NetworkBatch, EightThousandInFlightQueriesKeepFlowDrawsOrdered) {
   constexpr std::size_t kClients = 8000;
   const auto server = IpAddress::v4(192, 0, 2, 9);
