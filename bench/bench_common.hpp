@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,23 +67,46 @@ inline double env_double(const char* name, double fallback) {
   return value ? std::atof(value) : fallback;
 }
 
-/// Strict non-negative integer from the environment. atoll would turn
-/// ZH_RETRIES=-3 into 18446744073709551613 attempts and ZH_JOBS=banana into
-/// 0 silently; instead anything that is not a whole base-10 non-negative
-/// integer is rejected with a stderr diagnostic and the fallback is used.
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (!value || !*value) return fallback;
+/// The one strict integer parser behind every integer knob, environment
+/// variable and command-line flag alike. atol/strtoll alone would turn
+/// "--retries -3" into 4294967293 attempts and "--jobs banana" into 0 (all
+/// hardware threads) silently; instead anything that is not a whole base-10
+/// integer in [lo, hi] is rejected with a `#` stderr diagnostic naming the
+/// knob, and nullopt tells the caller to keep its current value.
+inline std::optional<std::uint64_t> parse_uint(
+    const char* knob, const char* value, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::int64_t>::max()) {
   errno = 0;
   char* end = nullptr;
   const long long parsed = std::strtoll(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr,
-                 "# %s='%s' is not a non-negative integer; using %llu\n", name,
-                 value, static_cast<unsigned long long>(fallback));
-    return fallback;
-  }
-  return static_cast<std::uint64_t>(parsed);
+  if (errno == 0 && end != value && *end == '\0' && parsed >= 0 &&
+      static_cast<std::uint64_t>(parsed) >= lo &&
+      static_cast<std::uint64_t>(parsed) <= hi)
+    return static_cast<std::uint64_t>(parsed);
+  std::fprintf(stderr, "# %s '%s' is not an integer in [%llu, %llu]; ignored\n",
+               knob, value, static_cast<unsigned long long>(lo),
+               static_cast<unsigned long long>(hi));
+  return std::nullopt;
+}
+
+/// Strict integer from the environment (parse_uint); unset, empty or
+/// rejected values yield `fallback`.
+inline std::uint64_t env_u64(
+    const char* name, std::uint64_t fallback, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  const char* value = std::getenv(name);
+  if (!value || !*value) return fallback;
+  return parse_uint(name, value, lo, hi).value_or(fallback);
+}
+
+/// Integer flag: stores the parse_uint value of `value` in `out`, bounded by
+/// `out`'s type unless `hi` is tighter; keeps `out` on rejection.
+template <typename T>
+void parse_uint_into(T& out, const char* knob, const char* value,
+                     std::uint64_t lo = 0,
+                     std::uint64_t hi = std::numeric_limits<T>::max()) {
+  if (const auto parsed = parse_uint(knob, value, lo, hi))
+    out = static_cast<T>(*parsed);
 }
 
 /// Every bench shares one flag vocabulary (parsed by parse_flags below):
@@ -229,22 +253,24 @@ inline std::optional<bool> parse_on_off(const char* value) {
 inline BenchFlags parse_flags(int argc, char** argv) {
   BenchFlags flags;
   if (argc > 0 && argv[0]) flags.exe = argv[0];
-  long jobs = static_cast<long>(env_u64("ZH_JOBS", 1));
-  long procs = static_cast<long>(env_u64("ZH_PROCS", 1));
+  constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+  // 0 means all hardware threads for both.
+  auto jobs = static_cast<unsigned>(env_u64("ZH_JOBS", 1, 0, kUnsignedMax));
+  auto procs = static_cast<unsigned>(env_u64("ZH_PROCS", 1, 0, kUnsignedMax));
   flags.loss = env_double("ZH_LOSS", 0.0);
-  flags.retry.attempts =
-      static_cast<unsigned>(env_u64("ZH_RETRIES", flags.retry.attempts));
+  flags.retry.attempts = static_cast<unsigned>(
+      env_u64("ZH_RETRIES", flags.retry.attempts, 0, kUnsignedMax));
   flags.retry.timeout = simtime::Duration::from_ms(static_cast<std::int64_t>(
       env_u64("ZH_TIMEOUT_MS",
               static_cast<std::uint64_t>(flags.retry.timeout.millis()))));
   flags.latency_ms = env_double("ZH_LATENCY_MS", 0.0);
   flags.jitter_ms = env_double("ZH_JITTER_MS", 0.0);
   if (const char* listen = std::getenv("ZH_LISTEN")) flags.listen = listen;
-  flags.port = static_cast<unsigned>(env_u64("ZH_PORT", flags.port) & 0xffff);
+  flags.port = static_cast<unsigned>(env_u64("ZH_PORT", flags.port, 0, 65535));
   flags.tcp_idle_ms = static_cast<std::int64_t>(
       env_u64("ZH_TCP_IDLE_MS", static_cast<std::uint64_t>(flags.tcp_idle_ms)));
   flags.pending_budget = static_cast<std::size_t>(
-      env_u64("ZH_PENDING_BUDGET", flags.pending_budget));
+      env_u64("ZH_PENDING_BUDGET", flags.pending_budget, 1));
   if (const char* path = std::getenv("ZH_TRACE")) flags.trace_path = path;
   if (const char* format = std::getenv("ZH_TRACE_FORMAT")) {
     if (const auto parsed = trace::parse_format(format))
@@ -259,10 +285,10 @@ inline BenchFlags parse_flags(int argc, char** argv) {
     }
   }
   flags.neg_cache_cap = static_cast<std::size_t>(
-      env_u64("ZH_NEG_CACHE_CAP", flags.neg_cache_cap));
+      env_u64("ZH_NEG_CACHE_CAP", flags.neg_cache_cap, 1));
   flags.failure_cache_ttl_ms = static_cast<std::int64_t>(env_u64(
       "ZH_FAILURE_CACHE_TTL",
-      static_cast<std::uint64_t>(flags.failure_cache_ttl_ms)));
+      static_cast<std::uint64_t>(flags.failure_cache_ttl_ms), 1));
 
   // `--flag V` / `--flag=V`: returns the value string, or nullptr.
   const auto value_of = [&](int& i, const char* name) -> const char* {
@@ -281,15 +307,17 @@ inline BenchFlags parse_flags(int argc, char** argv) {
     // fork-bomb) and tracing (K workers racing for one trace file).
     bool forward = true;
     if (const char* v = value_of(i, "--jobs")) {
-      jobs = std::atol(v);
+      parse_uint_into(jobs, "--jobs", v);
     } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-      jobs = std::atol(arg + 2);
+      parse_uint_into(jobs, "-j", arg + 2);
     } else if (const char* v = value_of(i, "--loss")) {
       flags.loss = std::atof(v);
     } else if (const char* v = value_of(i, "--retries")) {
-      flags.retry.attempts = static_cast<unsigned>(std::atol(v));
+      parse_uint_into(flags.retry.attempts, "--retries", v);
     } else if (const char* v = value_of(i, "--timeout")) {
-      flags.retry.timeout = simtime::Duration::from_ms(std::atol(v));
+      if (const auto ms = parse_uint("--timeout", v))
+        flags.retry.timeout =
+            simtime::Duration::from_ms(static_cast<std::int64_t>(*ms));
     } else if (const char* v = value_of(i, "--latency")) {
       flags.latency_ms = std::atof(v);
     } else if (const char* v = value_of(i, "--jitter")) {
@@ -297,16 +325,12 @@ inline BenchFlags parse_flags(int argc, char** argv) {
     } else if (const char* v = value_of(i, "--listen")) {
       flags.listen = v;
     } else if (const char* v = value_of(i, "--port")) {
-      const long parsed = std::atol(v);
-      if (parsed >= 0 && parsed <= 65535)
-        flags.port = static_cast<unsigned>(parsed);
-      else
-        std::fprintf(stderr, "# --port '%s' out of range [0, 65535]\n", v);
+      parse_uint_into(flags.port, "--port", v, 0, 65535);
     } else if (const char* v = value_of(i, "--tcp-idle-ms")) {
-      flags.tcp_idle_ms = std::atol(v);
+      parse_uint_into(flags.tcp_idle_ms, "--tcp-idle-ms", v);
     } else if (const char* v = value_of(i, "--pending-budget")) {
-      const long parsed = std::atol(v);
-      if (parsed > 0) flags.pending_budget = static_cast<std::size_t>(parsed);
+      // A zero budget would shed every response.
+      parse_uint_into(flags.pending_budget, "--pending-budget", v, 1);
     } else if (const char* v = value_of(i, "--trace-format")) {
       forward = false;
       if (const auto parsed = trace::parse_format(v)) {
@@ -320,13 +344,13 @@ inline BenchFlags parse_flags(int argc, char** argv) {
       flags.trace_path = v;
     } else if (const char* v = value_of(i, "--procs")) {
       forward = false;
-      procs = std::atol(v);
+      parse_uint_into(procs, "--procs", v);
     } else if (const char* v = value_of(i, "--shard")) {
       forward = false;
-      flags.shard = static_cast<unsigned>(std::atol(v));
+      parse_uint_into(flags.shard, "--shard", v);
     } else if (const char* v = value_of(i, "--of")) {
       forward = false;
-      flags.of = static_cast<unsigned>(std::atol(v));
+      parse_uint_into(flags.of, "--of", v);
     } else if (const char* v = value_of(i, "--emit-shard")) {
       forward = false;
       flags.emit_shard = v;
@@ -346,18 +370,8 @@ inline BenchFlags parse_flags(int argc, char** argv) {
                      v, crypto::sha1_impl_name(crypto::sha1_impl()));
       }
     } else if (const char* v = value_of(i, "--chain-memo")) {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (errno != 0 || end == v || *end != '\0' || parsed < 0) {
-        std::fprintf(stderr,
-                     "# --chain-memo '%s' is not a non-negative integer; "
-                     "keeping %llu\n",
-                     v,
-                     static_cast<unsigned long long>(
-                         zone::Nsec3ChainMemo::default_capacity()));
-      } else {
-        flags.chain_memo = static_cast<std::size_t>(parsed);
+      if (const auto capacity = parse_uint("--chain-memo", v)) {
+        flags.chain_memo = static_cast<std::size_t>(*capacity);
         zone::Nsec3ChainMemo::set_default_capacity(*flags.chain_memo);
       }
     } else if (const char* v = value_of(i, "--aggressive-nsec")) {
@@ -367,29 +381,9 @@ inline BenchFlags parse_flags(int argc, char** argv) {
         std::fprintf(stderr, "# unknown --aggressive-nsec '%s' (on|off)\n", v);
       }
     } else if (const char* v = value_of(i, "--neg-cache-cap")) {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (errno != 0 || end == v || *end != '\0' || parsed <= 0) {
-        std::fprintf(stderr,
-                     "# --neg-cache-cap '%s' is not a positive integer; "
-                     "keeping %llu\n",
-                     v, static_cast<unsigned long long>(flags.neg_cache_cap));
-      } else {
-        flags.neg_cache_cap = static_cast<std::size_t>(parsed);
-      }
+      parse_uint_into(flags.neg_cache_cap, "--neg-cache-cap", v, 1);
     } else if (const char* v = value_of(i, "--failure-cache-ttl")) {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (errno != 0 || end == v || *end != '\0' || parsed <= 0) {
-        std::fprintf(stderr,
-                     "# --failure-cache-ttl '%s' is not a positive integer "
-                     "(milliseconds); keeping %lld\n",
-                     v, static_cast<long long>(flags.failure_cache_ttl_ms));
-      } else {
-        flags.failure_cache_ttl_ms = parsed;
-      }
+      parse_uint_into(flags.failure_cache_ttl_ms, "--failure-cache-ttl", v, 1);
     } else if (std::strcmp(arg, "--merge-shards") == 0) {
       forward = false;
       for (++i; i < argc; ++i) flags.merge_shards.push_back(argv[i]);
@@ -398,12 +392,8 @@ inline BenchFlags parse_flags(int argc, char** argv) {
       for (int k = first; k <= i && k < argc; ++k)
         flags.worker_args.push_back(argv[k]);
   }
-  if (jobs < 0) jobs = 1;
-  flags.jobs =
-      jobs == 0 ? scanner::default_jobs() : static_cast<unsigned>(jobs);
-  if (procs < 0) procs = 1;
-  flags.procs =
-      procs == 0 ? scanner::default_jobs() : static_cast<unsigned>(procs);
+  flags.jobs = jobs == 0 ? scanner::default_jobs() : jobs;
+  flags.procs = procs == 0 ? scanner::default_jobs() : procs;
   if (flags.worker_mode() && (flags.of == 0 || flags.shard >= flags.of)) {
     std::fprintf(stderr, "--emit-shard requires --shard S --of K with S < K "
                          "(got S=%u, K=%u)\n",
@@ -411,11 +401,6 @@ inline BenchFlags parse_flags(int argc, char** argv) {
     std::exit(2);
   }
   return flags;
-}
-
-/// Worker-thread count only (the historical entry point).
-inline unsigned parse_jobs(int argc, char** argv) {
-  return parse_flags(argc, argv).jobs;
 }
 
 /// Writes the merged trace when --trace/ZH_TRACE asked for one, and prints

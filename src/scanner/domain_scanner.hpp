@@ -1,13 +1,17 @@
-// Domain-side measurement pipeline (§4.1), zdns-style:
-//   1. DNSKEY query → DNSSEC-enabled?
-//   2. NSEC3PARAM + NS queries → advertised parameters + operator
+// Domain-side measurement pipeline (§4.1), zdns-style: one blocking
+// routine per domain. DomainScanner::scan asks its logical queries in a
+// fixed order and stops as soon as an answer settles the domain:
+//   1. DNSKEY → DNSSEC-enabled? (no answer: unresponsive; none: no DNSSEC)
+//   2. NSEC3PARAM + NS → advertised parameters + operator
 //   3. random-subdomain negative probe → actual NSEC3 records
 //   4. RFC 5155 consistency checks → NSEC3-enabled classification
-//   5. RFC 9276 compliance evaluation (Items 2 + 3)
+//   5. RFC 9276 compliance evaluation (Items 2 + 3, read off the result)
 //
 // All queries go through a recursive resolver (the paper used Cloudflare's
 // 1.1.1.1) with CD set, so broken or limit-exceeding domains still yield
-// their records.
+// their records. Campaigns get their concurrency from many scanners side by
+// side, one per worker (scanner/parallel.hpp), never from interleaving the
+// queries of one scanner.
 #pragma once
 
 #include <cstdint>
@@ -84,11 +88,18 @@ class DomainScanner {
   std::uint64_t queries_issued() const noexcept { return queries_; }
 
  private:
+  /// Steps 1–4 for one domain; returns early once the domain is settled.
+  void run_pipeline(const dns::Name& apex, DomainScanResult& result);
+
   simnet::Network& network_;
   simnet::IpAddress source_;
   simnet::IpAddress resolver_;
   simtime::RetryPolicy retry_;
   std::uint16_t next_id_ = 1;
+  /// Names the next negative probe; advances once per scan that reaches
+  /// step 3. Token values influence no campaign statistic: the probe label
+  /// is fixed-width, so hashing cost is value-independent, and every NSEC3
+  /// record of a synthetic zone carries the same parameters.
   std::uint64_t probe_token_ = 0;
   std::uint64_t queries_ = 0;
 };

@@ -1,8 +1,13 @@
-// Resolver-side measurement (§4.2): probes one resolver with unique names
-// under every rfc9276-in-the-wild.com subzone, classifies it as a validator
-// (valid → NOERROR+AD, expired → SERVFAIL), then sweeps it-1 … it-500 to
-// infer its RFC 9276 behaviour: Item 6 insecure limit, Item 8 SERVFAIL
-// limit, Item 7 violation (it-2501-expired), Item 12 gaps and EDE support.
+// Resolver-side measurement (§4.2), one blocking routine per resolver.
+// ResolverProber::probe asks with names unique to the probe under the
+// rfc9276-in-the-wild.com subzones, in a fixed order:
+//   1. valid, then expired → validator? (valid → NOERROR+AD, expired →
+//      SERVFAIL); a non-validator is done after these two queries
+//   2. it-1 … it-500 in ascending N → Item 6 insecure limit, Item 8
+//      SERVFAIL limit, Item 12 gaps and EDE support
+//   3. it-2501-expired, only when an Item 6 limit was inferred → Item 7
+// A population sweep runs many probers side by side, one per worker
+// (scanner/parallel.hpp), never interleaving the queries of one prober.
 #pragma once
 
 #include <cstdint>
@@ -97,9 +102,17 @@ class ResolverProber {
   std::uint64_t queries_issued() const noexcept { return queries_; }
 
  private:
+  /// Steps 1–3 against one resolver.
+  void run_pipeline(const simnet::IpAddress& resolver,
+                    const std::string& token, ResolverProbeResult& result);
+
   simnet::Network& network_;
   simnet::IpAddress source_;
-  std::vector<testbed::ProbeZone> specs_;
+  /// The probe zones by role, split once at construction.
+  std::optional<testbed::ProbeZone> valid_;
+  std::optional<testbed::ProbeZone> expired_;
+  std::optional<testbed::ProbeZone> item7_;  // it-2501-expired
+  std::vector<testbed::ProbeZone> sweep_;    // it-N, ascending N
   simtime::RetryPolicy retry_;
   std::uint16_t next_id_ = 1;
   std::uint64_t queries_ = 0;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <utility>
 
@@ -13,7 +14,7 @@
 
 namespace zh::simnet {
 
-/// Outcome of one exchange (a logical query, however many wire attempts).
+/// Outcome of one exchange (one question, however many wire attempts).
 struct ExchangeOutcome {
   std::optional<dns::Message> response;
   /// Virtual time from the first transmission to the outcome: answered
@@ -83,6 +84,40 @@ inline ExchangeOutcome exchange(Network& network, const IpAddress& from,
     return out;
   }
   out.timed_out = true;
+  out.elapsed = network.clock().now() - start;
+  return out;
+}
+
+/// Asks one *logical query*: one question with the full client policy
+/// applied. That is up to RetryPolicy::attempts wire transmissions with
+/// exponential timeouts and UDP→TCP fallback on truncation (exchange()),
+/// re-asked as a fresh query while the answer is a transient SERVFAIL
+/// (RFC 8914 EDE 22/23 mark transport fates, not domain properties). `cd`
+/// sets the checking-disabled bit: the domain scanner measures *through*
+/// the resolver with CD set, the resolver prober measures the resolver
+/// itself and leaves CD clear. `next_id` and `queries` are the caller's
+/// wire counters: every round takes the next message ID, and `queries`
+/// advances by every wire attempt. The outcome is the final round's,
+/// except that `attempts` and `elapsed` span all rounds.
+inline ExchangeOutcome execute_logical_query(
+    Network& network, const IpAddress& from, const IpAddress& to,
+    const dns::Name& qname, dns::RrType qtype, bool cd,
+    const simtime::RetryPolicy& retry, std::uint16_t& next_id,
+    std::uint64_t& queries) {
+  const simtime::Duration start = network.clock().now();
+  const unsigned rounds = std::max(1u, retry.attempts);
+  unsigned attempts = 0;
+  ExchangeOutcome out;
+  for (unsigned round = 0; round < rounds; ++round) {
+    dns::Message query =
+        dns::Message::make_query(next_id++, qname, qtype, /*dnssec_ok=*/true);
+    query.header.cd = cd;
+    out = exchange(network, from, to, query, retry);
+    queries += out.attempts;
+    attempts += out.attempts;
+    if (!out.response || !transient_servfail(*out.response)) break;
+  }
+  out.attempts = attempts;
   out.elapsed = network.clock().now() - start;
   return out;
 }

@@ -160,6 +160,63 @@ TEST(BenchEnv, BadRetriesAndProcsFallBackToDefaults) {
   }
 }
 
+TEST(BenchFlags, IntegerFlagsRejectNegativeAndGarbage) {
+  // Each value used to pass through atol: --retries -3 became 4294967293
+  // attempts, --timeout -5 a negative timeout, --jobs banana "all hardware
+  // threads", and trailing garbage its numeric prefix.
+  Argv argv({"bench", "--retries", "-3", "--timeout", "-5", "--jobs",
+             "banana", "--procs", "2x", "--tcp-idle-ms", "-1",
+             "--pending-budget", "64k", "--port", "80x"});
+  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
+  const simtime::RetryPolicy defaults{};
+  EXPECT_EQ(flags.retry.attempts, defaults.attempts);
+  EXPECT_EQ(flags.retry.timeout.millis(), defaults.timeout.millis());
+  EXPECT_EQ(flags.jobs, 1u);
+  EXPECT_EQ(flags.procs, 1u);
+  EXPECT_EQ(flags.tcp_idle_ms, 10000);
+  EXPECT_EQ(flags.pending_budget, 512u);
+  EXPECT_EQ(flags.port, 0u);
+}
+
+TEST(BenchFlags, ShortJobsAndShardFlagsAreStrict) {
+  Argv argv({"bench", "-j2x", "--shard", "1x", "--of", "-2"});
+  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
+  EXPECT_EQ(flags.jobs, 1u);
+  EXPECT_EQ(flags.shard, 0u);
+  EXPECT_EQ(flags.of, 0u);
+
+  // In-range values still land, at the edges too.
+  Argv argv2({"bench", "-j0", "--port=65535", "--shard", "0", "--of", "1"});
+  const BenchFlags edges = parse_flags(argv2.argc(), argv2.argv());
+  EXPECT_EQ(edges.jobs, scanner::default_jobs());
+  EXPECT_EQ(edges.port, 65535u);
+  EXPECT_EQ(edges.of, 1u);
+}
+
+TEST(BenchEnv, RejectedFlagKeepsTheEnvironmentValue) {
+  EnvVar retries("ZH_RETRIES", "5");
+  EnvVar jobs("ZH_JOBS", "2");
+  EnvVar timeout("ZH_TIMEOUT_MS", "700");
+  Argv argv({"bench", "--retries", "-3", "--jobs", "banana", "--timeout",
+             "-5"});
+  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
+  EXPECT_EQ(flags.retry.attempts, 5u);
+  EXPECT_EQ(flags.jobs, 2u);
+  EXPECT_EQ(flags.retry.timeout.millis(), 700);
+}
+
+TEST(BenchEnv, EnvironmentKnobsKeepTheFlagRanges) {
+  // ZH_PORT=70000 used to wrap to port 4464; a zero budget sheds everything.
+  EnvVar port("ZH_PORT", "70000");
+  EnvVar budget("ZH_PENDING_BUDGET", "0");
+  EnvVar cap("ZH_NEG_CACHE_CAP", "0");
+  Argv argv({"bench"});
+  const BenchFlags flags = parse_flags(argv.argc(), argv.argv());
+  EXPECT_EQ(flags.port, 0u);
+  EXPECT_EQ(flags.pending_budget, 512u);
+  EXPECT_EQ(flags.neg_cache_cap, 4096u);
+}
+
 TEST(BenchFlags, FrontendFlagsParseBothForms) {
   Argv argv({"bench", "--listen", "0.0.0.0", "--port=5353",
              "--tcp-idle-ms", "2500", "--pending-budget=64"});

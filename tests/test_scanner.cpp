@@ -3,7 +3,12 @@
 // resolver prober (threshold inference, Item 7/12 detection, aggregation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "scanner/campaign.hpp"
 #include "workload/install.hpp"
@@ -313,6 +318,142 @@ TEST_F(ScannerTest, ServerLogsExposeForwardingTargets) {
       << "the authoritative log reveals the forwarding target";
   EXPECT_FALSE(saw_forwarder)
       << "the forwarder itself never contacts the authoritative server";
+}
+
+// The wire query sequence of both pipelines, pinned question by question.
+// Loss and jitter draws are keyed on each flow's query sequence number and
+// the oracle hashes include queries_issued(), so reordering, adding or
+// dropping a query changes every artefact downstream.
+using LoggedQuestions = std::vector<std::pair<std::string, std::string>>;
+
+LoggedQuestions logged_to(const simnet::Network& network,
+                          const IpAddress& destination) {
+  LoggedQuestions out;
+  for (const auto& entry : network.query_log()) {
+    if (entry.destination == destination)
+      out.emplace_back(entry.question.name.to_string(),
+                       dns::to_string(entry.question.type));
+  }
+  return out;
+}
+
+TEST_F(ScannerTest, DomainScanQuerySequenceIsPinned) {
+  auto resolver = internet_->make_resolver(
+      resolver::ResolverProfile::cloudflare(), IpAddress::v4(203, 0, 115, 1));
+  simnet::Network& network = internet_->network();
+  network.enable_logging_for(resolver->address());
+  network.clear_query_log();
+  DomainScanner scanner(network, IpAddress::v4(203, 0, 115, 2),
+                        resolver->address());
+
+  std::vector<Name> nsec3_apexes;
+  std::optional<Name> plain_apex;
+  for (std::size_t index = 0;
+       index < spec_->domain_count() &&
+       (nsec3_apexes.size() < 2 || !plain_apex);
+       ++index) {
+    const workload::DomainProfile profile = spec_->domain(index);
+    if (profile.denial == zone::DenialMode::kNsec3 && nsec3_apexes.size() < 2)
+      nsec3_apexes.push_back(profile.apex);
+    if (!profile.dnssec && !plain_apex) plain_apex = profile.apex;
+  }
+  ASSERT_EQ(nsec3_apexes.size(), 2u);
+  ASSERT_TRUE(plain_apex);
+
+  // NSEC3 domain: DNSKEY, NSEC3PARAM, NS at the apex, then the negative
+  // probe under the first token.
+  ASSERT_EQ(scanner.scan(nsec3_apexes[0]).classification,
+            DomainScanResult::Class::kNsec3Enabled);
+  const std::string apex0 = nsec3_apexes[0].to_string();
+  LoggedQuestions expected = {
+      {apex0, "DNSKEY"},
+      {apex0, "NSEC3PARAM"},
+      {apex0, "NS"},
+      {"zz-scan-00000000." + apex0, "A"},
+  };
+  EXPECT_EQ(logged_to(network, resolver->address()), expected);
+  EXPECT_EQ(scanner.queries_issued(), expected.size());
+
+  // No DNSSEC: the scan stops after DNSKEY and spends no probe token.
+  ASSERT_EQ(scanner.scan(*plain_apex).classification,
+            DomainScanResult::Class::kNoDnssec);
+  expected.emplace_back(plain_apex->to_string(), "DNSKEY");
+  EXPECT_EQ(logged_to(network, resolver->address()), expected);
+  EXPECT_EQ(scanner.queries_issued(), expected.size());
+
+  // The next scan that reaches the probe step takes the next token.
+  (void)scanner.scan(nsec3_apexes[1]);
+  const std::string apex1 = nsec3_apexes[1].to_string();
+  expected.emplace_back(apex1, "DNSKEY");
+  expected.emplace_back(apex1, "NSEC3PARAM");
+  expected.emplace_back(apex1, "NS");
+  expected.emplace_back("zz-scan-00000001." + apex1, "A");
+  EXPECT_EQ(logged_to(network, resolver->address()), expected);
+  EXPECT_EQ(scanner.queries_issued(), expected.size());
+  network.clear_query_log();
+}
+
+TEST_F(ScannerTest, ResolverProbeQuerySequenceIsPinned) {
+  simnet::Network& network = internet_->network();
+  const auto zone = [&](const std::string& label) {
+    for (const auto& spec : probe_specs_) {
+      if (spec.label == label) return spec;
+    }
+    ADD_FAILURE() << "no probe zone " << label;
+    return testbed::ProbeZone{};
+  };
+  std::vector<testbed::ProbeZone> sweep;
+  for (const auto& spec : probe_specs_) {
+    if (spec.label.rfind("it-", 0) == 0 && spec.label != "it-2501-expired")
+      sweep.push_back(spec);
+  }
+  std::sort(sweep.begin(), sweep.end(), [](const auto& a, const auto& b) {
+    return a.iterations < b.iterations;
+  });
+  ASSERT_EQ(sweep.size(), 47u);
+  const auto query = [](const std::string& token, const testbed::ProbeZone& z,
+                        const char* branch) {
+    return std::make_pair(token + "." + branch + "." + z.apex.to_string(),
+                          std::string("A"));
+  };
+  const auto expected_for = [&](const std::string& token, bool validator,
+                                bool item7) {
+    LoggedQuestions expected = {query(token, zone("valid"), "wc"),
+                                query(token, zone("expired"), "wc")};
+    if (!validator) return expected;
+    for (const auto& spec : sweep) expected.push_back(query(token, spec, "nx"));
+    if (item7) expected.push_back(query(token, zone("it-2501-expired"), "nx"));
+    return expected;
+  };
+
+  struct Case {
+    resolver::ResolverProfile profile;
+    std::string token;
+    bool validator;
+    bool item6;
+  };
+  const Case cases[] = {
+      {resolver::ResolverProfile::bind9_2021(), "seq-item6", true, true},
+      {resolver::ResolverProfile::cloudflare(), "seq-item8", true, false},
+      {resolver::ResolverProfile::non_validating(), "seq-plain", false, false},
+  };
+  std::uint8_t host = 10;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.token);
+    auto target =
+        internet_->make_resolver(c.profile, IpAddress::v4(203, 0, 115, host++));
+    network.enable_logging_for(target->address());
+    network.clear_query_log();
+    ResolverProber prober(network, IpAddress::v4(203, 0, 115, host++),
+                          probe_specs_);
+    const ResolverProbeResult result = prober.probe(target->address(), c.token);
+    ASSERT_EQ(result.validator, c.validator);
+    ASSERT_EQ(result.implements_item6, c.item6);
+    const LoggedQuestions logged = logged_to(network, target->address());
+    EXPECT_EQ(logged, expected_for(c.token, c.validator, c.item6));
+    EXPECT_EQ(prober.queries_issued(), logged.size());
+    network.clear_query_log();
+  }
 }
 
 }  // namespace
