@@ -45,6 +45,36 @@ void BM_Sha1Block(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1Block)->Arg(20)->Arg(64)->Arg(256)->Arg(1024);
 
+/// One 64-byte block through a single-stream compress kernel: the portable
+/// round, or SHA-NI through the dispatch (skipped where the host or build
+/// lacks it). The per-block cost behind every query-time NSEC3 hash.
+void BM_Sha1Compress(benchmark::State& state, bool shani) {
+  if (shani && (!zh::crypto::sha1_shani_supported() ||
+                zh::crypto::sha1_best_impl() == zh::crypto::Sha1Impl::kScalar)) {
+    state.SkipWithError("kernel not supported on this host/build");
+    return;
+  }
+  const zh::crypto::Sha1Impl previous = zh::crypto::sha1_impl();
+  zh::crypto::set_sha1_impl(zh::crypto::sha1_best_impl());
+  std::uint8_t block[zh::crypto::Sha1::kBlockSize];
+  for (std::size_t i = 0; i < sizeof block; ++i)
+    block[i] = static_cast<std::uint8_t>(i * 37);
+  std::uint32_t digest[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                             0x10325476u, 0xC3D2E1F0u};
+  for (auto _ : state) {
+    if (shani)
+      zh::crypto::sha1_compress(digest, block, 1);
+    else
+      zh::crypto::sha1_compress_scalar(digest, block);
+    benchmark::DoNotOptimize(digest);
+  }
+  zh::crypto::set_sha1_impl(previous);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sizeof block));
+}
+BENCHMARK_CAPTURE(BM_Sha1Compress, scalar, false);
+BENCHMARK_CAPTURE(BM_Sha1Compress, shani, true);
+
 void BM_Sha256Block(benchmark::State& state) {
   const std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)),
                                        0xab);

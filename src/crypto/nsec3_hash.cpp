@@ -17,13 +17,7 @@ Nsec3Digest nsec3_hash(std::span<const std::uint8_t> owner_wire,
   h.update(owner_wire);
   h.update(salt);
   Nsec3Digest digest = h.finalize();
-
-  for (std::uint16_t i = 0; i < iterations; ++i) {
-    h.reset();
-    h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
-    h.update(salt);
-    digest = h.finalize();
-  }
+  sha1_iterate(digest, salt, iterations);
   return digest;
 }
 

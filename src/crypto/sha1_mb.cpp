@@ -97,18 +97,9 @@ struct LaneFeed {
     const std::size_t len = message.size();
     direct_blocks = len / Sha1::kBlockSize;
     const std::size_t rem = len % Sha1::kBlockSize;
-    // Merkle–Damgård padding: 0x80, zeros, 64-bit big-endian bit length.
-    const std::size_t tail_blocks =
-        rem < Sha1::kBlockSize - 8 ? 1 : 2;
-    total_blocks = direct_blocks + tail_blocks;
-    std::memset(tail, 0, sizeof(tail));
     if (rem > 0)
       std::memcpy(tail, data + direct_blocks * Sha1::kBlockSize, rem);
-    tail[rem] = 0x80;
-    const std::uint64_t bit_len = static_cast<std::uint64_t>(len) * 8;
-    std::uint8_t* p = tail + tail_blocks * Sha1::kBlockSize - 8;
-    for (int i = 0; i < 8; ++i)
-      p[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    total_blocks = direct_blocks + detail::sha1_pad_tail(tail, rem, len);
   }
 
   const std::uint8_t* next_block() const noexcept {
@@ -294,18 +285,12 @@ void sha1_multi_iterate(std::span<Sha1::Digest> digests,
 
   const std::size_t msg_len = Sha1::kDigestSize + suffix.size();
   // One padded message per lane. NSEC3 salts are at most 255 bytes, so five
-  // blocks always suffice; anything longer takes the plain scalar path.
+  // blocks always suffice; anything longer takes the single-stream loop.
   constexpr std::size_t kMaxBuf = 5 * Sha1::kBlockSize;
-  const std::size_t nblocks = (msg_len + 8) / Sha1::kBlockSize + 1;
+  const std::size_t nblocks = Sha1::blocks_for(msg_len);
   if (nblocks * Sha1::kBlockSize > kMaxBuf) {
-    for (Sha1::Digest& digest : digests) {
-      for (std::uint16_t i = 0; i < iterations; ++i) {
-        Sha1 h;  // Sha1::compress ticks logical + physical itself
-        h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
-        h.update(suffix);
-        digest = h.finalize();
-      }
-    }
+    for (Sha1::Digest& digest : digests)
+      sha1_iterate(digest, suffix, iterations);
     return;
   }
 
@@ -314,16 +299,13 @@ void sha1_multi_iterate(std::span<Sha1::Digest> digests,
 
   // Constant part of every lane's message: suffix, padding, bit length.
   std::uint8_t buffers[detail::kMaxLanes][kMaxBuf];
-  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg_len) * 8;
+  const std::size_t whole = msg_len / Sha1::kBlockSize * Sha1::kBlockSize;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     std::uint8_t* buf = buffers[lane];
-    std::memset(buf, 0, nblocks * Sha1::kBlockSize);
+    std::memset(buf, 0, Sha1::kDigestSize);  // idle lanes hash this slot
     if (!suffix.empty())
       std::memcpy(buf + Sha1::kDigestSize, suffix.data(), suffix.size());
-    buf[msg_len] = 0x80;
-    std::uint8_t* p = buf + nblocks * Sha1::kBlockSize - 8;
-    for (int i = 0; i < 8; ++i)
-      p[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    detail::sha1_pad_tail(buf + whole, msg_len - whole, msg_len);
   }
 
   detail::LaneState state;

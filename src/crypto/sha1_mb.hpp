@@ -46,7 +46,8 @@ std::size_t sha1_impl_lanes(Sha1Impl impl) noexcept;
 
 /// The implementation batch hashing currently dispatches to. First use reads
 /// ZH_SHA1_IMPL; an unknown or unsupported value is rejected with a stderr
-/// diagnostic and the best supported implementation is used instead.
+/// diagnostic and the best supported implementation is used instead. kScalar
+/// also keeps the single-stream compress (sha1.hpp) off SHA-NI.
 Sha1Impl sha1_impl() noexcept;
 
 /// Forces the dispatch target (tests / bench grids). Unsupported requests

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <random>
 #include <string>
 
 #include "crypto/cost_meter.hpp"
@@ -584,6 +586,247 @@ TEST(Nsec3Batch, EmptyBatchIsANoOp) {
   nsec3_hash_batch({}, {}, 100, nullptr);
   EXPECT_EQ(CostMeter::sha1_blocks(), 0u);
   EXPECT_EQ(CostMeter::nsec3_hashes(), 0u);
+}
+
+// --- Single-stream compress and the fixed-block iterate loop ---
+
+/// Textbook FIPS 180-4 compression (80-word schedule, one round loop): the
+/// oracle the optimised single-stream kernels are checked against.
+void reference_compress(std::uint32_t state[5], const std::uint8_t* block) {
+  const auto rotl = [](std::uint32_t x, int n) {
+    return (x << n) | (x >> (32 - n));
+  };
+  std::uint32_t w[80];
+  for (int t = 0; t < 16; ++t)
+    w[t] = (std::uint32_t{block[4 * t]} << 24) |
+           (std::uint32_t{block[4 * t + 1]} << 16) |
+           (std::uint32_t{block[4 * t + 2]} << 8) | block[4 * t + 3];
+  for (int t = 16; t < 80; ++t)
+    w[t] = rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4];
+  for (int t = 0; t < 80; ++t) {
+    std::uint32_t f, k;
+    if (t < 20) {
+      f = (b & c) | (~b & d);
+      k = 0x5A827999u;
+    } else if (t < 40) {
+      f = b ^ c ^ d;
+      k = 0x6ED9EBA1u;
+    } else if (t < 60) {
+      f = (b & c) | (b & d) | (c & d);
+      k = 0x8F1BBCDCu;
+    } else {
+      f = b ^ c ^ d;
+      k = 0xCA62C1D6u;
+    }
+    const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[t];
+    e = d;
+    d = c;
+    c = rotl(b, 30);
+    b = a;
+    a = tmp;
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+}
+
+/// The whole message padded by hand: 0x80, zeros, big-endian bit length.
+std::vector<std::uint8_t> textbook_padded(std::string_view message) {
+  std::vector<std::uint8_t> padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{message.size()} * 8;
+  for (int i = 7; i >= 0; --i)
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  return padded;
+}
+
+/// Hex digest of `message` with `compress` fed every block in one call.
+template <typename Compress>
+std::string hash_by(Compress compress, std::string_view message) {
+  const auto padded = textbook_padded(message);
+  std::uint32_t state[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                            0x10325476u, 0xC3D2E1F0u};
+  compress(state, padded.data(), padded.size() / 64);
+  std::array<std::uint8_t, 20> digest;
+  for (int i = 0; i < 5; ++i)
+    for (int j = 0; j < 4; ++j)
+      digest[4 * i + j] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * j));
+  return hex(digest);
+}
+
+/// RFC 3174 §7.3's four test messages and digests.
+std::vector<std::pair<std::string, std::string>> rfc3174_vectors() {
+  std::string four;
+  for (int i = 0; i < 80; ++i) four += "01234567";
+  return {
+      {"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
+      {std::string(1000000, 'a'), "34aa973cd4c4daa4f61eeb2bdbad27316534016f"},
+      {four, "dea356a2cddd90c7a7ecedc5ebb563934f460452"},
+  };
+}
+
+/// Checks `compress` against the reference on RFC 3174 and on 10 K random
+/// (state, block) pairs from a fixed seed.
+template <typename Compress>
+void expect_matches_reference(Compress compress) {
+  for (const auto& [message, digest] : rfc3174_vectors()) {
+    EXPECT_EQ(hash_by(compress, message), digest) << message.size() << " B";
+    EXPECT_EQ(hash_by(
+                  [](std::uint32_t st[5], const std::uint8_t* blocks,
+                     std::size_t n) {
+                    for (std::size_t i = 0; i < n; ++i)
+                      reference_compress(st, blocks + 64 * i);
+                  },
+                  message),
+              digest)
+        << "reference, " << message.size() << " B";
+  }
+  std::mt19937 rng(20240526);
+  for (int pair = 0; pair < 10000; ++pair) {
+    std::uint32_t state[5];
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng());
+    std::uint8_t block[64];
+    for (auto& byte : block) byte = static_cast<std::uint8_t>(rng());
+    std::uint32_t expected[5];
+    std::memcpy(expected, state, sizeof state);
+    reference_compress(expected, block);
+    compress(state, block, 1);
+    ASSERT_EQ(0, std::memcmp(state, expected, sizeof state)) << "pair " << pair;
+  }
+}
+
+TEST(Sha1Compress, PortableRoundMatchesTextbookReference) {
+  expect_matches_reference(
+      [](std::uint32_t state[5], const std::uint8_t* blocks, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+          sha1_compress_scalar(state, blocks + 64 * i);
+      });
+  // A forced scalar setting routes the single-stream dispatch to it too.
+  ScopedSha1Impl scoped(Sha1Impl::kScalar);
+  expect_matches_reference(sha1_compress);
+}
+
+TEST(Sha1Compress, ShaNiMatchesTextbookReference) {
+  if (!sha1_shani_supported() || sha1_best_impl() == Sha1Impl::kScalar)
+    GTEST_SKIP() << "SHA-NI not supported on this host/build";
+  // Any setting but kScalar lets the dispatch take the SHA-NI kernel.
+  ScopedSha1Impl scoped(sha1_best_impl());
+  expect_matches_reference(sha1_compress);
+}
+
+TEST(Sha1, EveryLengthMatchesTextbookReferenceAndBlockCount) {
+  // Covers finalize()'s in-place padding on both sides of the 55/56 split.
+  std::string message;
+  for (std::size_t len = 0; len <= 200; ++len) {
+    CostMeter::reset();
+    EXPECT_EQ(hex(Sha1::hash(message)),
+              hash_by(
+                  [](std::uint32_t st[5], const std::uint8_t* blocks,
+                     std::size_t n) {
+                    for (std::size_t i = 0; i < n; ++i)
+                      reference_compress(st, blocks + 64 * i);
+                  },
+                  message))
+        << len << " B";
+    EXPECT_EQ(CostMeter::sha1_blocks(), Sha1::blocks_for(len)) << len << " B";
+    EXPECT_EQ(CostMeter::sha1_physical_blocks(), Sha1::blocks_for(len));
+    message.push_back(static_cast<char>('a' + len % 26));
+  }
+}
+
+TEST(Sha1Iterate, MatchesStreamingRehashForEverySuffixLength) {
+  // Suffixes up to 300 bytes: 1–5 padded blocks on the fixed-block path, and
+  // 6 blocks past 291 bytes, where sha1_multi_iterate hands over to it.
+  constexpr std::uint16_t kIterations = 3;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const std::vector<std::uint8_t> suffix(len, static_cast<std::uint8_t>(len));
+    const std::span<const std::uint8_t> suffix_span(suffix.data(),
+                                                    suffix.size());
+    std::vector<Sha1::Digest> seed(3);
+    for (std::size_t i = 0; i < seed.size(); ++i)
+      seed[i] = Sha1::hash(std::string(i + len, 's'));
+
+    std::vector<Sha1::Digest> expected = seed;
+    for (auto& digest : expected) {
+      for (std::uint16_t it = 0; it < kIterations; ++it) {
+        Sha1 h;
+        h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
+        h.update(suffix_span);
+        digest = h.finalize();
+      }
+    }
+    const std::uint64_t blocks =
+        seed.size() * kIterations * Sha1::blocks_for(20 + len);
+
+    std::vector<Sha1::Digest> single = seed;
+    CostMeter::reset();
+    for (auto& digest : single) sha1_iterate(digest, suffix_span, kIterations);
+    EXPECT_EQ(single, expected) << "suffix " << len;
+    EXPECT_EQ(CostMeter::sha1_blocks(), blocks) << "suffix " << len;
+    EXPECT_EQ(CostMeter::sha1_physical_blocks(), blocks) << "suffix " << len;
+
+    std::vector<Sha1::Digest> multi = seed;
+    CostMeter::reset();
+    sha1_multi_iterate(std::span<Sha1::Digest>(multi.data(), multi.size()),
+                       suffix_span, kIterations);
+    EXPECT_EQ(multi, expected) << "suffix " << len;
+    EXPECT_EQ(CostMeter::sha1_blocks(), blocks) << "suffix " << len;
+    EXPECT_EQ(CostMeter::sha1_physical_blocks(), blocks) << "suffix " << len;
+  }
+}
+
+TEST(Nsec3Hash, MatchesBatchForEverySaltLengthAndBlockCount) {
+  // Every legal salt length (0–255 B) crosses each padding boundary of both
+  // the first hash and the re-hash (one/two blocks at salt 35/36, ...).
+  // Runs under whatever kernel ZH_SHA1_IMPL selects, so the forced-kernel
+  // matrix covers the portable round, SHA-NI and each batch width.
+  const std::vector<std::vector<std::uint8_t>> owners = {
+      wire_name({"example"}),
+      wire_name({std::string(40, 'h'), "zone", "example"})};
+  const auto spans = as_spans(owners);
+  const std::span<const std::span<const std::uint8_t>> batch(spans.data(),
+                                                             spans.size());
+  for (const std::uint16_t iterations : {0, 1, 2, 150, 2500}) {
+    for (std::size_t len = 0; len <= 255; ++len) {
+      std::vector<std::uint8_t> salt(len);
+      for (std::size_t i = 0; i < len; ++i)
+        salt[i] = static_cast<std::uint8_t>(i * 7 + len);
+      const std::span<const std::uint8_t> salt_span(salt.data(), salt.size());
+      std::uint64_t blocks = 0;
+      for (const auto& owner : owners)
+        blocks += Sha1::blocks_for(owner.size() + len) +
+                  std::uint64_t{iterations} * Sha1::blocks_for(20 + len);
+
+      std::vector<Nsec3Digest> single;
+      CostMeter::reset();
+      for (const auto& owner : spans)
+        single.push_back(nsec3_hash(owner, salt_span, iterations));
+      EXPECT_EQ(CostMeter::sha1_blocks(), blocks)
+          << "salt " << len << " iterations " << iterations;
+      EXPECT_EQ(CostMeter::sha1_physical_blocks(), blocks)
+          << "salt " << len << " iterations " << iterations;
+      EXPECT_EQ(CostMeter::nsec3_hashes(), owners.size());
+
+      std::vector<Nsec3Digest> batched(owners.size());
+      CostMeter::reset();
+      nsec3_hash_batch(batch, salt_span, iterations, batched.data());
+      EXPECT_EQ(CostMeter::sha1_blocks(), blocks)
+          << "salt " << len << " iterations " << iterations;
+      EXPECT_EQ(CostMeter::sha1_physical_blocks(), blocks)
+          << "salt " << len << " iterations " << iterations;
+      EXPECT_EQ(CostMeter::nsec3_hashes(), owners.size());
+
+      ASSERT_EQ(single, batched)
+          << "salt " << len << " iterations " << iterations;
+    }
+  }
 }
 
 TEST(CostMeter, ScopedMeasurement) {
