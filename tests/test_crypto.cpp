@@ -467,40 +467,55 @@ TEST(Sha1Multi, RaggedBatchesMatchSingleMessageHashing) {
 }
 
 TEST(Sha1Multi, IterateMatchesScalarLoop) {
-  const std::vector<std::uint8_t> suffix = {0xaa, 0xbb, 0xcc, 0xdd};
+  // Every suffix length up to 300 B: 1–5 padded blocks in the lane buffers,
+  // and 6 past 291 B, where sha1_multi_iterate hands over to sha1_iterate.
   constexpr std::uint16_t kIterations = 17;
-  // 5 digests: a partial final group on every implementation width.
-  std::vector<Sha1::Digest> seed(5);
-  for (std::size_t i = 0; i < seed.size(); ++i)
-    seed[i] = Sha1::hash(std::string_view(std::string(i + 1, 'q')));
+  for (std::size_t len = 0; len <= 300; ++len) {
+    std::vector<std::uint8_t> suffix(len);
+    for (std::size_t i = 0; i < len; ++i)
+      suffix[i] = static_cast<std::uint8_t>(0xaa + i);
+    const std::span<const std::uint8_t> suffix_span(suffix.data(),
+                                                    suffix.size());
+    // 5 digests: a partial final group on every implementation width.
+    std::vector<Sha1::Digest> seed(5);
+    for (std::size_t i = 0; i < seed.size(); ++i)
+      seed[i] = Sha1::hash(std::string_view(std::string(i + 1, 'q')));
 
-  // Scalar reference.
-  std::vector<Sha1::Digest> expected = seed;
-  for (auto& digest : expected) {
-    for (std::uint16_t it = 0; it < kIterations; ++it) {
-      Sha1 h;
-      h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
-      h.update(std::span<const std::uint8_t>(suffix.data(), suffix.size()));
-      digest = h.finalize();
+    // Streaming reference.
+    std::vector<Sha1::Digest> expected = seed;
+    for (auto& digest : expected) {
+      for (std::uint16_t it = 0; it < kIterations; ++it) {
+        Sha1 h;
+        h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
+        h.update(suffix_span);
+        digest = h.finalize();
+      }
     }
-  }
+    const std::uint64_t blocks =
+        seed.size() * kIterations * Sha1::blocks_for(20 + len);
 
-  for (const Sha1Impl impl : supported_impls()) {
-    ScopedSha1Impl scoped(impl);
-    std::vector<Sha1::Digest> digests = seed;
-    CostMeter::reset();
-    sha1_multi_iterate(std::span<Sha1::Digest>(digests.data(), digests.size()),
-                       std::span<const std::uint8_t>(suffix.data(),
-                                                     suffix.size()),
-                       kIterations);
-    for (std::size_t i = 0; i < digests.size(); ++i)
-      EXPECT_EQ(hex(digests[i]), hex(expected[i]))
-          << sha1_impl_name(impl) << " digest " << i;
-    // 20B digest + 4B suffix + padding = 1 block per iteration per digest.
-    EXPECT_EQ(CostMeter::sha1_blocks(), seed.size() * kIterations)
-        << sha1_impl_name(impl);
-    EXPECT_EQ(CostMeter::sha1_physical_blocks(), seed.size() * kIterations)
-        << sha1_impl_name(impl);
+    for (const Sha1Impl impl : supported_impls()) {
+      ScopedSha1Impl scoped(impl);
+      std::vector<Sha1::Digest> multi = seed;
+      CostMeter::reset();
+      sha1_multi_iterate(std::span<Sha1::Digest>(multi.data(), multi.size()),
+                         suffix_span, kIterations);
+      EXPECT_EQ(multi, expected) << sha1_impl_name(impl) << " suffix " << len;
+      EXPECT_EQ(CostMeter::sha1_blocks(), blocks)
+          << sha1_impl_name(impl) << " suffix " << len;
+      EXPECT_EQ(CostMeter::sha1_physical_blocks(), blocks)
+          << sha1_impl_name(impl) << " suffix " << len;
+
+      std::vector<Sha1::Digest> single = seed;
+      CostMeter::reset();
+      for (auto& digest : single)
+        sha1_iterate(digest, suffix_span, kIterations);
+      EXPECT_EQ(single, expected) << sha1_impl_name(impl) << " suffix " << len;
+      EXPECT_EQ(CostMeter::sha1_blocks(), blocks)
+          << sha1_impl_name(impl) << " suffix " << len;
+      EXPECT_EQ(CostMeter::sha1_physical_blocks(), blocks)
+          << sha1_impl_name(impl) << " suffix " << len;
+    }
   }
 }
 
@@ -634,6 +649,13 @@ void reference_compress(std::uint32_t state[5], const std::uint8_t* block) {
   state[4] += e;
 }
 
+/// The reference over `n` consecutive blocks.
+void reference_compress_blocks(std::uint32_t state[5],
+                               const std::uint8_t* blocks, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    reference_compress(state, blocks + 64 * i);
+}
+
 /// The whole message padded by hand: 0x80, zeros, big-endian bit length.
 std::vector<std::uint8_t> textbook_padded(std::string_view message) {
   std::vector<std::uint8_t> padded(message.begin(), message.end());
@@ -678,14 +700,7 @@ template <typename Compress>
 void expect_matches_reference(Compress compress) {
   for (const auto& [message, digest] : rfc3174_vectors()) {
     EXPECT_EQ(hash_by(compress, message), digest) << message.size() << " B";
-    EXPECT_EQ(hash_by(
-                  [](std::uint32_t st[5], const std::uint8_t* blocks,
-                     std::size_t n) {
-                    for (std::size_t i = 0; i < n; ++i)
-                      reference_compress(st, blocks + 64 * i);
-                  },
-                  message),
-              digest)
+    EXPECT_EQ(hash_by(reference_compress_blocks, message), digest)
         << "reference, " << message.size() << " B";
   }
   std::mt19937 rng(20240526);
@@ -727,58 +742,11 @@ TEST(Sha1, EveryLengthMatchesTextbookReferenceAndBlockCount) {
   for (std::size_t len = 0; len <= 200; ++len) {
     CostMeter::reset();
     EXPECT_EQ(hex(Sha1::hash(message)),
-              hash_by(
-                  [](std::uint32_t st[5], const std::uint8_t* blocks,
-                     std::size_t n) {
-                    for (std::size_t i = 0; i < n; ++i)
-                      reference_compress(st, blocks + 64 * i);
-                  },
-                  message))
+              hash_by(reference_compress_blocks, message))
         << len << " B";
     EXPECT_EQ(CostMeter::sha1_blocks(), Sha1::blocks_for(len)) << len << " B";
     EXPECT_EQ(CostMeter::sha1_physical_blocks(), Sha1::blocks_for(len));
     message.push_back(static_cast<char>('a' + len % 26));
-  }
-}
-
-TEST(Sha1Iterate, MatchesStreamingRehashForEverySuffixLength) {
-  // Suffixes up to 300 bytes: 1–5 padded blocks on the fixed-block path, and
-  // 6 blocks past 291 bytes, where sha1_multi_iterate hands over to it.
-  constexpr std::uint16_t kIterations = 3;
-  for (std::size_t len = 0; len <= 300; ++len) {
-    const std::vector<std::uint8_t> suffix(len, static_cast<std::uint8_t>(len));
-    const std::span<const std::uint8_t> suffix_span(suffix.data(),
-                                                    suffix.size());
-    std::vector<Sha1::Digest> seed(3);
-    for (std::size_t i = 0; i < seed.size(); ++i)
-      seed[i] = Sha1::hash(std::string(i + len, 's'));
-
-    std::vector<Sha1::Digest> expected = seed;
-    for (auto& digest : expected) {
-      for (std::uint16_t it = 0; it < kIterations; ++it) {
-        Sha1 h;
-        h.update(std::span<const std::uint8_t>(digest.data(), digest.size()));
-        h.update(suffix_span);
-        digest = h.finalize();
-      }
-    }
-    const std::uint64_t blocks =
-        seed.size() * kIterations * Sha1::blocks_for(20 + len);
-
-    std::vector<Sha1::Digest> single = seed;
-    CostMeter::reset();
-    for (auto& digest : single) sha1_iterate(digest, suffix_span, kIterations);
-    EXPECT_EQ(single, expected) << "suffix " << len;
-    EXPECT_EQ(CostMeter::sha1_blocks(), blocks) << "suffix " << len;
-    EXPECT_EQ(CostMeter::sha1_physical_blocks(), blocks) << "suffix " << len;
-
-    std::vector<Sha1::Digest> multi = seed;
-    CostMeter::reset();
-    sha1_multi_iterate(std::span<Sha1::Digest>(multi.data(), multi.size()),
-                       suffix_span, kIterations);
-    EXPECT_EQ(multi, expected) << "suffix " << len;
-    EXPECT_EQ(CostMeter::sha1_blocks(), blocks) << "suffix " << len;
-    EXPECT_EQ(CostMeter::sha1_physical_blocks(), blocks) << "suffix " << len;
   }
 }
 
