@@ -89,7 +89,7 @@ void BM_EncodeNxdomainWithProof(benchmark::State& state) {
 BENCHMARK(BM_EncodeNxdomainWithProof);
 
 void BM_WireSizeNxdomainWithProof(benchmark::State& state) {
-  // The simnet/frontend truncation decision: size without serialising.
+  // The simnet truncation decision: the encode into the reused buffer.
   const Message response = nxdomain_response_with_nsec3();
   AllocScope allocs(state);
   for (auto _ : state) benchmark::DoNotOptimize(response.wire_size());

@@ -41,6 +41,8 @@ class ByteWriter {
 
   std::size_t size() const noexcept { return out_.size(); }
   const std::vector<std::uint8_t>& data() const noexcept { return out_; }
+  /// Empties the sink but keeps its capacity for the next message.
+  void clear() noexcept { out_.clear(); }
   std::vector<std::uint8_t> take() { return std::move(out_); }
 
  private:

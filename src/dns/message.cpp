@@ -1,86 +1,142 @@
 #include "dns/message.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "dns/io.hpp"
 
 namespace zh::dns {
 namespace {
 
-/// Writes names with RFC 1035 §4.1.4 compression, remembering every suffix
-/// it has emitted at a pointer-reachable offset.
-class NameCompressor {
+/// The one encode body behind to_wire() and wire_size(), with RFC 1035
+/// §4.1.4 name compression: each name suffix written below offset 0x4000
+/// lands in a flat (name, first label, offset) table, searched by label
+/// count and then a case-insensitive label compare. The buffer and the
+/// table keep their capacity between messages, so a warm encoder allocates
+/// nothing.
+class Encoder {
  public:
-  void write(ByteWriter& w, const Name& name) {
-    // Find the longest already-emitted suffix.
-    std::size_t skip = 0;  // labels written literally before the pointer
-    std::optional<std::uint16_t> pointer;
-    for (; skip < name.label_count(); ++skip) {
-      const std::string key = suffix_key(name, skip);
-      const auto it = offsets_.find(key);
-      if (it != offsets_.end()) {
-        pointer = it->second;
-        break;
-      }
-    }
-    // Emit literal labels, registering each new suffix offset.
-    for (std::size_t i = 0; i < skip; ++i) {
-      if (w.size() < 0x4000) {
-        offsets_.emplace(suffix_key(name, i),
-                         static_cast<std::uint16_t>(w.size()));
-      }
-      const std::string& label = name.label(i);
-      w.u8(static_cast<std::uint8_t>(label.size()));
-      w.bytes(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(label.data()), label.size()));
-    }
-    if (pointer) {
-      w.u16(static_cast<std::uint16_t>(0xc000 | *pointer));
-    } else {
-      w.u8(0);
-    }
-  }
+  /// Serialises `msg`; the bytes are valid until the next encode().
+  const std::vector<std::uint8_t>& encode(const Message& msg) {
+    w_.clear();
+    suffixes_.clear();
+    const Header& header = msg.header;
+    const std::uint16_t rcode_value = static_cast<std::uint16_t>(header.rcode);
+    std::uint16_t flags = 0;
+    if (header.qr) flags |= 0x8000;
+    flags |= static_cast<std::uint16_t>(
+        (static_cast<std::uint16_t>(header.opcode) & 0xf) << 11);
+    if (header.aa) flags |= 0x0400;
+    if (header.tc) flags |= 0x0200;
+    if (header.rd) flags |= 0x0100;
+    if (header.ra) flags |= 0x0080;
+    if (header.ad) flags |= 0x0020;
+    if (header.cd) flags |= 0x0010;
+    flags |= rcode_value & 0xf;
 
-  /// Size-only twin of write(): registers the same suffixes at the same
-  /// (virtual) offsets under the same 0x4000 cap, so a message measured
-  /// name-by-name compresses identically to one actually serialised —
-  /// wire_size() == to_wire().size() holds exactly.
-  std::size_t measure(std::size_t at, const Name& name) {
-    std::size_t skip = 0;
-    bool pointer = false;
-    for (; skip < name.label_count(); ++skip) {
-      if (offsets_.find(suffix_key(name, skip)) != offsets_.end()) {
-        pointer = true;
-        break;
+    w_.u16(header.id);
+    w_.u16(flags);
+    w_.u16(static_cast<std::uint16_t>(msg.questions.size()));
+    w_.u16(static_cast<std::uint16_t>(msg.answers.size()));
+    w_.u16(static_cast<std::uint16_t>(msg.authorities.size()));
+    w_.u16(static_cast<std::uint16_t>(msg.additionals.size() +
+                                      (msg.edns ? 1 : 0)));
+
+    for (const auto& q : msg.questions) {
+      write_name(q.name);
+      w_.u16(static_cast<std::uint16_t>(q.type));
+      w_.u16(static_cast<std::uint16_t>(q.klass));
+    }
+    for (const auto* section : {&msg.answers, &msg.authorities,
+                                &msg.additionals}) {
+      for (const ResourceRecord& rr : *section) {
+        write_name(rr.name);
+        w_.u16(static_cast<std::uint16_t>(rr.type));
+        w_.u16(static_cast<std::uint16_t>(rr.klass));
+        w_.u32(rr.ttl);
+        w_.u16(static_cast<std::uint16_t>(rr.rdata.size()));
+        w_.bytes(rr.rdata);
       }
     }
-    std::size_t size = 0;
-    for (std::size_t i = 0; i < skip; ++i) {
-      if (at + size < 0x4000) {
-        offsets_.emplace(suffix_key(name, i),
-                         static_cast<std::uint16_t>(at + size));
+
+    if (const auto& edns = msg.edns) {
+      // OPT pseudo-record: root owner, class = payload size,
+      // TTL = ext-rcode | version | DO | zeros.
+      w_.u8(0);  // root name
+      w_.u16(static_cast<std::uint16_t>(RrType::kOpt));
+      w_.u16(edns->udp_payload_size);
+      std::uint32_t ttl = 0;
+      ttl |= static_cast<std::uint32_t>((rcode_value >> 4) & 0xff) << 24;
+      ttl |= static_cast<std::uint32_t>(edns->version) << 16;
+      if (edns->do_bit) ttl |= 0x8000;
+      w_.u32(ttl);
+      const std::size_t rdlength_at = w_.size();
+      w_.u16(0);  // RDLENGTH, patched below
+      for (const auto& option : edns->options) {
+        w_.u16(option.code);
+        w_.u16(static_cast<std::uint16_t>(option.data.size()));
+        w_.bytes(option.data);
       }
-      size += 1 + name.label(i).size();
+      w_.patch_u16(rdlength_at,
+                   static_cast<std::uint16_t>(w_.size() - rdlength_at - 2));
     }
-    return size + (pointer ? 2 : 1);
+    return w_.data();
   }
 
  private:
-  static std::string suffix_key(const Name& name, std::size_t from_label) {
-    std::string key;
-    for (std::size_t i = from_label; i < name.label_count(); ++i) {
-      const std::string& label = name.label(i);
-      key.push_back(static_cast<char>(label.size()));
-      for (const char c : label)
-        key.push_back(
-            (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c);
+  struct Suffix {
+    const Name* name;  // points into the message being encoded
+    std::uint8_t first_label;
+    std::uint16_t offset;
+  };
+
+  void write_name(const Name& name) {
+    // Find the longest already-written suffix.
+    std::size_t skip = 0;  // labels written literally before the pointer
+    std::optional<std::uint16_t> pointer;
+    for (; skip < name.label_count(); ++skip) {
+      pointer = find(name, skip);
+      if (pointer) break;
     }
-    return key;
+    // Emit literal labels, registering each suffix offset. None is in the
+    // table yet (the search would have stopped on it), so a suffix keeps
+    // the first offset it was written at.
+    for (std::size_t i = 0; i < skip; ++i) {
+      if (w_.size() < 0x4000) {
+        suffixes_.push_back({&name, static_cast<std::uint8_t>(i),
+                             static_cast<std::uint16_t>(w_.size())});
+      }
+      const std::string& label = name.label(i);
+      w_.u8(static_cast<std::uint8_t>(label.size()));
+      w_.bytes(std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(label.data()), label.size()));
+    }
+    if (pointer) {
+      w_.u16(static_cast<std::uint16_t>(0xc000 | *pointer));
+    } else {
+      w_.u8(0);
+    }
   }
 
-  std::map<std::string, std::uint16_t> offsets_;
+  /// Offset of the suffix of `name` from label `first`, if already written.
+  std::optional<std::uint16_t> find(const Name& name,
+                                    std::size_t first) const {
+    const std::size_t labels = name.label_count() - first;
+    for (const Suffix& s : suffixes_) {
+      if (s.name->label_count() - s.first_label != labels) continue;
+      std::size_t i = 0;
+      while (i < labels && label_equal_ci(s.name->label(s.first_label + i),
+                                          name.label(first + i)))
+        ++i;
+      if (i == labels) return s.offset;
+    }
+    return std::nullopt;
+  }
+
+  ByteWriter w_;
+  std::vector<Suffix> suffixes_;
 };
+
+thread_local Encoder thread_encoder;
 
 /// Reads a possibly-compressed name; `r` advances past the name's in-place
 /// bytes only. Pointers must target strictly earlier offsets (loop-proof).
@@ -153,9 +209,7 @@ std::optional<RdataBytes> read_rdata(ByteReader& r, RrType type,
       auto name = read_compressed_name(r, err);
       if (!name) return std::nullopt;
       if (r.position() > end) return fail(WireErrc::kBadRdata);
-      ByteWriter w;
-      w.bytes(name->to_wire());
-      return finish(w.take());
+      return finish(name->to_wire());
     }
     case RrType::kMx: {
       const auto pref = r.u16();
@@ -219,85 +273,12 @@ std::optional<EdeInfo> Edns::ede() const {
 }
 
 std::vector<std::uint8_t> Message::to_wire() const {
-  ByteWriter w;
-  NameCompressor compressor;
-
-  const std::uint16_t rcode_value = static_cast<std::uint16_t>(header.rcode);
-  std::uint16_t flags = 0;
-  if (header.qr) flags |= 0x8000;
-  flags |= static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(header.opcode) & 0xf) << 11);
-  if (header.aa) flags |= 0x0400;
-  if (header.tc) flags |= 0x0200;
-  if (header.rd) flags |= 0x0100;
-  if (header.ra) flags |= 0x0080;
-  if (header.ad) flags |= 0x0020;
-  if (header.cd) flags |= 0x0010;
-  flags |= rcode_value & 0xf;
-
-  w.u16(header.id);
-  w.u16(flags);
-  w.u16(static_cast<std::uint16_t>(questions.size()));
-  w.u16(static_cast<std::uint16_t>(answers.size()));
-  w.u16(static_cast<std::uint16_t>(authorities.size()));
-  w.u16(static_cast<std::uint16_t>(additionals.size() + (edns ? 1 : 0)));
-
-  for (const auto& q : questions) {
-    compressor.write(w, q.name);
-    w.u16(static_cast<std::uint16_t>(q.type));
-    w.u16(static_cast<std::uint16_t>(q.klass));
-  }
-
-  const auto write_rr = [&](const ResourceRecord& rr) {
-    compressor.write(w, rr.name);
-    w.u16(static_cast<std::uint16_t>(rr.type));
-    w.u16(static_cast<std::uint16_t>(rr.klass));
-    w.u32(rr.ttl);
-    w.u16(static_cast<std::uint16_t>(rr.rdata.size()));
-    w.bytes(rr.rdata);
-  };
-  for (const auto& rr : answers) write_rr(rr);
-  for (const auto& rr : authorities) write_rr(rr);
-  for (const auto& rr : additionals) write_rr(rr);
-
-  if (edns) {
-    // OPT pseudo-record: root owner, class = payload size,
-    // TTL = ext-rcode | version | DO | zeros.
-    w.u8(0);  // root name
-    w.u16(static_cast<std::uint16_t>(RrType::kOpt));
-    w.u16(edns->udp_payload_size);
-    std::uint32_t ttl = 0;
-    ttl |= static_cast<std::uint32_t>((rcode_value >> 4) & 0xff) << 24;
-    ttl |= static_cast<std::uint32_t>(edns->version) << 16;
-    if (edns->do_bit) ttl |= 0x8000;
-    w.u32(ttl);
-    ByteWriter opts;
-    for (const auto& option : edns->options) {
-      opts.u16(option.code);
-      opts.u16(static_cast<std::uint16_t>(option.data.size()));
-      opts.bytes(option.data);
-    }
-    w.u16(static_cast<std::uint16_t>(opts.size()));
-    w.bytes(opts.data());
-  }
-  return w.take();
+  const std::vector<std::uint8_t>& wire = thread_encoder.encode(*this);
+  return {wire.begin(), wire.end()};
 }
 
 std::size_t Message::wire_size() const {
-  NameCompressor compressor;
-  std::size_t size = 12;
-  for (const auto& q : questions) size += compressor.measure(size, q.name) + 4;
-  const auto measure_rr = [&](const ResourceRecord& rr) {
-    size += compressor.measure(size, rr.name) + 10 + rr.rdata.size();
-  };
-  for (const auto& rr : answers) measure_rr(rr);
-  for (const auto& rr : authorities) measure_rr(rr);
-  for (const auto& rr : additionals) measure_rr(rr);
-  if (edns) {
-    size += 11;  // root owner + TYPE/CLASS/TTL/RDLENGTH
-    for (const auto& option : edns->options) size += 4 + option.data.size();
-  }
-  return size;
+  return thread_encoder.encode(*this).size();
 }
 
 const char* to_string(WireErrc errc) {
@@ -453,6 +434,28 @@ Message Message::make_response(const Message& query) {
     msg.edns = edns;
   }
   return msg;
+}
+
+Message Message::make_truncated(const Message& query,
+                                const Message& response) {
+  Message truncated = make_response(query);
+  truncated.header.rcode = response.header.rcode;
+  truncated.header.aa = response.header.aa;
+  truncated.header.tc = true;
+  return truncated;
+}
+
+Message Message::make_overloaded(const Message& query) {
+  Message shed = make_response(query);
+  shed.header.rcode = Rcode::kServFail;
+  if (shed.edns)
+    shed.edns->add_ede(EdeCode::kNetworkError, "server overloaded");
+  return shed;
+}
+
+std::size_t udp_payload_limit(const Message& query) {
+  return query.edns ? std::max<std::size_t>(512, query.edns->udp_payload_size)
+                    : 512;
 }
 
 std::vector<ResourceRecord> Message::answers_of_type(RrType type) const {

@@ -168,10 +168,10 @@ struct Message {
   /// question names (rdata is stored and written uncompressed).
   std::vector<std::uint8_t> to_wire() const;
 
-  /// Exact encoded size — `wire_size() == to_wire().size()` always — without
-  /// building the buffer. Shares the compressor's suffix registration
-  /// (including the 0x4000 pointer-offset cap) so compression decisions are
-  /// identical. Use for size-only decisions like UDP truncation.
+  /// Encoded size, for size-only decisions like UDP truncation. Runs the
+  /// same encode as to_wire() into a reused thread-local buffer, so
+  /// `wire_size() == to_wire().size()` by construction and a warm thread
+  /// sizes without touching the heap.
   std::size_t wire_size() const;
 
   /// Parses a wire message; embedded compressed names inside NS/CNAME/SOA/
@@ -191,6 +191,14 @@ struct Message {
 
   /// Response skeleton echoing id/opcode/question/RD of `query`.
   static Message make_response(const Message& query);
+
+  /// The UDP reply when `response` exceeds udp_payload_limit(query): TC
+  /// set, sections empty, rcode and AA kept (RFC 1035 §4.2.1).
+  static Message make_truncated(const Message& query, const Message& response);
+
+  /// The reply of a server too loaded to serve `query`: SERVFAIL, plus EDE
+  /// 23 "server overloaded" (RFC 8914) when the query carried EDNS.
+  static Message make_overloaded(const Message& query);
 
   /// First question, if any.
   const Question* question() const {
@@ -216,6 +224,10 @@ struct Message {
   /// One-line summary for logs: "NOERROR q=example.com. A ans=2 auth=0 AD".
   std::string summary() const;
 };
+
+/// Largest UDP response `query` accepts: its EDNS payload size clamped to
+/// at least 512 (RFC 6891 §6.2.3), or 512 without EDNS.
+std::size_t udp_payload_limit(const Message& query);
 
 /// Outcome of Message::decode: the message, or why there is none.
 struct DecodeResult {

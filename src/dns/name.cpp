@@ -8,17 +8,6 @@
 namespace zh::dns {
 namespace {
 
-char ascii_lower(char c) noexcept {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
-bool label_equal_ci(std::string_view a, std::string_view b) noexcept {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
-  return true;
-}
-
 std::strong_ordering label_compare_ci(std::string_view a,
                                       std::string_view b) noexcept {
   const std::size_t n = std::min(a.size(), b.size());

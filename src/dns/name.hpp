@@ -16,6 +16,19 @@ namespace zh::dns {
 
 struct NameSuffix;  // defined after Name
 
+/// ASCII lowercase; DNS names compare case-insensitively (RFC 4343).
+constexpr char ascii_lower(char c) noexcept {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// True if two labels are equal ignoring ASCII case.
+inline bool label_equal_ci(std::string_view a, std::string_view b) noexcept {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
+  return true;
+}
+
 /// An absolute domain name, stored as a sequence of labels (root = none).
 ///
 /// Invariants: each label is 1..63 octets; total wire length ≤ 255 octets.

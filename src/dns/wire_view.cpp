@@ -5,10 +5,6 @@
 namespace zh::dns {
 namespace {
 
-char ascii_lower(char c) noexcept {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
 /// Big-endian u16 at `pos`; caller guarantees bounds.
 std::uint16_t read_u16(std::span<const std::uint8_t> wire, std::size_t pos) {
   return static_cast<std::uint16_t>((std::uint16_t{wire[pos]} << 8) |
@@ -80,17 +76,7 @@ bool NameView::equals(const Name& other) const noexcept {
   std::size_t i = 0;
   bool equal = true;
   for_each_label([&](std::string_view label) {
-    const std::string& expect = other.label(i++);
-    if (label.size() != expect.size()) {
-      equal = false;
-      return;
-    }
-    for (std::size_t k = 0; k < label.size(); ++k) {
-      if (ascii_lower(label[k]) != ascii_lower(expect[k])) {
-        equal = false;
-        return;
-      }
-    }
+    equal = equal && label_equal_ci(label, other.label(i++));
   });
   return equal;
 }

@@ -145,12 +145,9 @@ std::optional<Frontend::Served> Frontend::serve(
   count(tcp ? &FrontendCounters::tcp_queries : &FrontendCounters::udp_queries,
         tcp ? "net.rx_tcp" : "net.rx_udp");
   if (pending_ >= config_.pending_budget) {
-    // Same shape as a simtime::ServiceQueue shed on the virtual path.
+    // Same reply as a simtime::ServiceQueue shed on the virtual path.
     count(&FrontendCounters::shed, "net.shed");
-    dns::Message shed = dns::Message::make_response(query);
-    shed.header.rcode = dns::Rcode::kServFail;
-    if (shed.edns)
-      shed.edns->add_ede(dns::EdeCode::kNetworkError, "server overloaded");
+    dns::Message shed = dns::Message::make_overloaded(query);
     return Served{std::move(query), std::move(shed)};
   }
   trace::Span span;
@@ -167,28 +164,16 @@ std::optional<Frontend::Served> Frontend::serve(
   return Served{std::move(query), *std::move(response)};
 }
 
-std::vector<std::uint8_t> Frontend::udp_response_wire(const dns::Message& query,
-                                                      dns::Message response) {
-  // RFC 6891 §6.2.3: advertised values below 512 are treated as 512; no
-  // EDNS means the classic 512-byte limit. The optional server-side cap
-  // models operators that clamp (e.g. to 1232) regardless of the client.
-  std::size_t limit =
-      query.edns ? std::max<std::size_t>(512, query.edns->udp_payload_size)
-                 : 512;
-  if (config_.max_udp_payload >= 512 && config_.max_udp_payload < limit)
-    limit = config_.max_udp_payload;
+std::vector<std::uint8_t> Frontend::udp_response_wire(
+    const dns::Message& query, const dns::Message& response) {
   // Encode once and decide truncation from the encoded length: responses
   // that fit (the common case) cost exactly one encode.
   std::vector<std::uint8_t> wire = response.to_wire();
-  if (wire.size() <= limit) return wire;
-  // Mirror simnet::Network::send truncation: empty sections, TC set, rcode
-  // and AA preserved — a UDP→TCP retry then fetches the identical answer.
-  dns::Message truncated = dns::Message::make_response(query);
-  truncated.header.rcode = response.header.rcode;
-  truncated.header.aa = response.header.aa;
-  truncated.header.tc = true;
+  if (wire.size() <= dns::udp_payload_limit(query)) return wire;
+  // The same TC reply as simnet::Network::send: a UDP→TCP retry then
+  // fetches the identical answer.
   count(&FrontendCounters::truncated, "net.truncated");
-  return truncated.to_wire();
+  return dns::Message::make_truncated(query, response).to_wire();
 }
 
 void Frontend::on_udp_readable() {
@@ -204,7 +189,7 @@ void Frontend::on_udp_readable() {
     auto served = serve({buffer, static_cast<std::size_t>(n)}, /*tcp=*/false);
     if (!served) continue;
     std::vector<std::uint8_t> wire =
-        udp_response_wire(served->query, std::move(served->response));
+        udp_response_wire(served->query, served->response);
     count(&FrontendCounters::responses, "net.responses");
     const ssize_t sent =
         ::sendto(udp_fd_, wire.data(), wire.size(), 0,

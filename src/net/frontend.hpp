@@ -64,10 +64,6 @@ struct FrontendConfig {
   /// Max responses buffered-but-unflushed across all transports before new
   /// queries are shed with SERVFAIL + EDE 23.
   std::size_t pending_budget = 512;
-  /// Cap applied on top of the client's advertised EDNS payload size
-  /// (0 = honour the client fully). The advertised size is always clamped
-  /// to ≥ 512 per RFC 6891.
-  std::size_t max_udp_payload = 0;
   /// Test knob: SO_SNDBUF for accepted TCP sockets (0 = kernel default).
   /// Shrinking it makes write backpressure — and thus shedding —
   /// reproducible on loopback.
@@ -145,7 +141,7 @@ class Frontend {
   std::optional<Served> serve(std::span<const std::uint8_t> wire, bool tcp);
   /// Applies the RFC 6891 payload limit; returns the bytes to send.
   std::vector<std::uint8_t> udp_response_wire(const dns::Message& query,
-                                              dns::Message response);
+                                              const dns::Message& response);
   void enqueue_tcp(Connection& conn, const std::vector<std::uint8_t>& wire);
   bool flush_tcp(Connection& conn);
   void close_connection(int fd, bool reaped);

@@ -4,7 +4,6 @@
 // servers log source IPs to detect forwarders, §4.2).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -116,18 +115,9 @@ class Network {
                                    const dns::Message& query) {
     auto response = deliver(from, to, query);
     if (!response) return std::nullopt;
-    // RFC 6891 §6.2.3: advertised payload sizes below 512 are treated as
-    // 512 — an attacker-chosen tiny buffer must not shrink the floor.
-    const std::size_t buffer_size =
-        query.edns ? std::max<std::size_t>(512, query.edns->udp_payload_size)
-                   : 512;
-    if (response->wire_size() > buffer_size) {
-      dns::Message truncated = dns::Message::make_response(query);
-      truncated.header.rcode = response->header.rcode;
-      truncated.header.aa = response->header.aa;
-      truncated.header.tc = true;
+    if (response->wire_size() > dns::udp_payload_limit(query)) {
       ++truncations_;
-      return truncated;
+      return dns::Message::make_truncated(query, *response);
     }
     return response;
   }
@@ -342,13 +332,8 @@ class Network {
           clock_.set(start);
           return std::nullopt;
         }
-        dns::Message shed = dns::Message::make_response(query);
-        shed.header.rcode = dns::Rcode::kServFail;
-        if (shed.edns) {
-          shed.edns->add_ede(dns::EdeCode::kNetworkError, "server overloaded");
-        }
         last_elapsed_ = clock_.now() - start;
-        return shed;
+        return dns::Message::make_overloaded(query);
       }
       clock_.advance(admission.wait);
       ++queue_counters_.admitted;

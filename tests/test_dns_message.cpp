@@ -2,6 +2,9 @@
 // name compression (write + read), EDNS/EDE, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "dns/message.hpp"
 
 namespace zh::dns {
@@ -243,11 +246,20 @@ TEST(Message, TypedRangesMatchDeepCopyingFilters) {
   EXPECT_TRUE(msg.authorities_with(RrType::kNsec3).empty());
 }
 
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
 TEST(Message, WireSizeMatchesEncodingWithCompression) {
-  // wire_size() must replicate the compressor's pointer decisions exactly —
+  // wire_size() is the length of the one encode to_wire() also runs —
   // sample_response() compresses aggressively (shared example.com suffixes).
+  // The bytes are pinned (FNV-1a), since a round trip accepts any valid
+  // choice of pointers.
   const Message response = sample_response();
   EXPECT_EQ(response.wire_size(), response.to_wire().size());
+  EXPECT_EQ(fnv1a(response.to_wire()), 0xf4d916dbb159da67ull);
 
   // A query (no compression opportunities, EDNS present).
   const Message query =
@@ -256,7 +268,8 @@ TEST(Message, WireSizeMatchesEncodingWithCompression) {
 
   // Names landing past the 0x3fff pointer-offset ceiling must not be
   // registered as compression targets; pad a message past 16 KiB and append
-  // repeated owners to force that branch in both encoder and sizer.
+  // repeated owners to force that branch: both tail owners are written in
+  // full.
   Message big = sample_response();
   for (int i = 0; i < 500; ++i) {
     big.answers.push_back(make_txt(Name::must_parse("pad.example.com"), 60,
@@ -268,6 +281,7 @@ TEST(Message, WireSizeMatchesEncodingWithCompression) {
       Name::must_parse("tail.far.example.org"), 60, "y"));
   ASSERT_GT(big.to_wire().size(), 0x4000u);
   EXPECT_EQ(big.wire_size(), big.to_wire().size());
+  EXPECT_EQ(fnv1a(big.to_wire()), 0x16b1c77158e1cb1cull);
 }
 
 TEST(Message, SummaryMentionsRcodeAndQuestion) {

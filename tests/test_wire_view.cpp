@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,6 +76,26 @@ Message nxdomain_with_proof() {
   return response;
 }
 
+/// One suffix repeated in mixed case: the compressor must match names
+/// case-insensitively and point every repeat at the first offset that
+/// registered the suffix, whatever case that first copy was written in.
+Message mixed_case_repeats() {
+  Message query = Message::make_query(
+      0x0c0c, Name::must_parse("WWW.Example.COM"), RrType::kA);
+  Message response = Message::make_response(query);
+  response.answers.push_back(
+      make_a(Name::must_parse("www.EXAMPLE.com"), 60, 192, 0, 2, 1));
+  response.answers.push_back(
+      make_a(Name::must_parse("Mail.example.Com"), 60, 192, 0, 2, 2));
+  response.authorities.push_back(make_ns(Name::must_parse("EXAMPLE.COM"), 3600,
+                                         Name::must_parse("ns1.example.com")));
+  response.additionals.push_back(
+      make_a(Name::must_parse("NS1.example.COM"), 3600, 192, 0, 2, 53));
+  response.additionals.push_back(
+      make_a(Name::must_parse("mail.EXAMPLE.COM"), 3600, 192, 0, 2, 2));
+  return response;
+}
+
 std::vector<Message> corpus() {
   std::vector<Message> messages;
   messages.push_back(
@@ -83,7 +104,14 @@ std::vector<Message> corpus() {
       0xbeef, Name::must_parse("www.example.com"), RrType::kDnskey));
   messages.push_back(rich_response());
   messages.push_back(nxdomain_with_proof());
+  messages.push_back(mixed_case_repeats());
   return messages;
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
 }
 
 /// Minimal header + question skeleton for the crafted-wire tests.
@@ -418,11 +446,37 @@ TEST(WireView, SteadyStateParseMakesZeroHeapAllocations) {
       << "steady-state view parse allocated";
 }
 
+TEST(WireView, SteadyStateWireSizeMakesZeroHeapAllocations) {
+  // The simnet truncation decision sizes every UDP response: after one warm
+  // call the encode buffer and the compressor's suffix table are reused.
+  const Message response = nxdomain_with_proof();
+  const std::size_t size = response.wire_size();  // warm-up
+  const bench::AllocStats before = bench::alloc_stats();
+  for (int i = 0; i < 10000; ++i) {
+    if (response.wire_size() != size) {
+      FAIL() << "size changed mid-loop";
+    }
+  }
+  const bench::AllocStats after = bench::alloc_stats();
+  EXPECT_EQ(after.allocations - before.allocations, 0u)
+      << "steady-state wire_size allocated";
+}
+
 TEST(WireView, WireSizeMatchesEncodedSizeExactly) {
-  // wire_size() shares the compressor's offset map with write(), so it is
-  // exact — the simnet/frontend truncation decision depends on that.
-  for (const Message& msg : corpus()) {
-    EXPECT_EQ(msg.wire_size(), msg.to_wire().size());
+  // wire_size() runs the same encode as to_wire(), so it is exact — the
+  // simnet truncation decision depends on that. Round trips accept any
+  // valid compression, so the encoded bytes themselves are pinned too
+  // (FNV-1a of to_wire()): a compressor change that picks other pointers
+  // shows here.
+  const std::uint64_t pinned[] = {
+      0x02e8a6d844242765ull, 0x07b6d203c3d39fdaull, 0x47e42bc4fe6b902cull,
+      0x0a14043544b132d6ull, 0xc1a435c6fd761130ull};
+  const std::vector<Message> messages = corpus();
+  ASSERT_EQ(messages.size(), std::size(pinned));
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const std::vector<std::uint8_t> wire = messages[i].to_wire();
+    EXPECT_EQ(messages[i].wire_size(), wire.size());
+    EXPECT_EQ(fnv1a(wire), pinned[i]) << "corpus message " << i;
   }
   // And for every bit-flipped message that still decodes (mutated flags,
   // TTLs, rdata bytes — anything that survives the parser).
